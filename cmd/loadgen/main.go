@@ -99,10 +99,10 @@ func main() {
 
 	fire := func(class string) {
 		defer inflight.Done()
-		// Sampling jobs vary the noise seed instead of the compile seed: each
-		// request is a fresh trajectory run (cache miss on the sampling work)
-		// over the one cached compilation — the realistic shape of a sharded
-		// million-shot job.
+		// Sampling jobs vary the noise seed instead of the compile seed, the
+		// shape of a sharded million-shot job. The noise seed and shot range
+		// are part of the job's cache key, so every sampling request misses
+		// the cache and recompiles before its trajectory run.
 		endpoint, payload := "/v1/compile", map[string]any{
 			"benchmark": *benchmark,
 			"seed":      seed.Add(1),

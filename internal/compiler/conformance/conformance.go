@@ -289,11 +289,14 @@ func VerifyResultEngine(src *circuit.Circuit, res *compiler.Result, engine strin
 		}
 		seen[s] = true
 	}
-	for i, g := range p.Gates {
-		if g.Q0 < 0 || g.Q0 >= p.NSlots || (g.IsTwoQubit() && (g.Q1 < 0 || g.Q1 >= p.NSlots)) {
-			return fmt.Errorf("witness gate %d (%v) addresses a slot outside [0,%d)", i, g, p.NSlots)
-		}
+	if err := (noise.Witness{NSlots: p.NSlots, Gates: p.Gates}).CheckSlots(); err != nil {
+		return err
 	}
+	// Verification keeps its own dispatch instead of noise.Dispatch: it runs
+	// one tableau equivalence check per witness, not a tableau and a frame
+	// per trajectory shot, so it takes Clifford witnesses up to the tableau's
+	// own limit (stab.MaxQubits = 4096) rather than the trajectory engine's
+	// 1024-slot service cap.
 	switch engine {
 	case noise.EngineStab:
 		return verifyStab(src, p)

@@ -81,11 +81,6 @@ func newConjTable(w Witness) *conjTable {
 		mz[q>>6] |= 1 << uint(q&63)
 	}
 
-	xorInto := func(dst, src []uint64) {
-		for i, v := range src {
-			dst[i] ^= v
-		}
-	}
 	for gi := len(w.Gates) - 1; gi >= 0; gi-- {
 		g := w.Gates[gi]
 		// Snapshot the suffix-after-gi images into the site table.
@@ -118,17 +113,17 @@ func newConjTable(w Witness) *conjTable {
 			copy(mz0x, sx0x)
 			copy(mz0z, sx0z)
 		case circuit.OpS:
-			xorInto(mx0x, sz0x) // X → Y = X·Z
-			xorInto(mx0z, sz0z)
+			xorPacked(mx0x, sz0x) // X → Y = X·Z
+			xorPacked(mx0z, sz0z)
 		case circuit.OpRZ:
 			if cliffordQuarterOdd(g) {
-				xorInto(mx0x, sz0x)
-				xorInto(mx0z, sz0z)
+				xorPacked(mx0x, sz0x)
+				xorPacked(mx0z, sz0z)
 			}
 		case circuit.OpRX:
 			if cliffordQuarterOdd(g) {
-				xorInto(mz0x, sx0x) // Z → Y = X·Z
-				xorInto(mz0z, sx0z)
+				xorPacked(mz0x, sx0x) // Z → Y = X·Z
+				xorPacked(mz0z, sx0z)
 			}
 		case circuit.OpRY, circuit.OpU:
 			if cliffordQuarterOdd(g) {
@@ -138,25 +133,25 @@ func newConjTable(w Witness) *conjTable {
 				copy(mz0z, sx0z)
 			}
 		case circuit.OpCX:
-			xorInto(mx0x, mx1x) // X_c → X_c·X_t
-			xorInto(mx0z, mx1z)
-			xorInto(mz1x, sz0x) // Z_t → Z_c·Z_t
-			xorInto(mz1z, sz0z)
+			xorPacked(mx0x, mx1x) // X_c → X_c·X_t
+			xorPacked(mx0z, mx1z)
+			xorPacked(mz1x, sz0x) // Z_t → Z_c·Z_t
+			xorPacked(mz1z, sz0z)
 		case circuit.OpCZ:
-			xorInto(mx0x, mz1x) // X_a → X_a·Z_b
-			xorInto(mx0z, mz1z)
-			xorInto(mx1x, sz0x) // X_b → X_b·Z_a
-			xorInto(mx1z, sz0z)
+			xorPacked(mx0x, mz1x) // X_a → X_a·Z_b
+			xorPacked(mx0z, mz1z)
+			xorPacked(mx1x, sz0x) // X_b → X_b·Z_a
+			xorPacked(mx1z, sz0z)
 		case circuit.OpZZ:
 			if cliffordQuarterOdd(g) {
-				xorInto(mx0x, sz0x) // X_a → X_a·Z_a·Z_b
-				xorInto(mx0z, sz0z)
-				xorInto(mx0x, mz1x)
-				xorInto(mx0z, mz1z)
-				xorInto(mx1x, sz0x) // X_b → X_b·Z_a·Z_b
-				xorInto(mx1z, sz0z)
-				xorInto(mx1x, mz1x)
-				xorInto(mx1z, mz1z)
+				xorPacked(mx0x, sz0x) // X_a → X_a·Z_a·Z_b
+				xorPacked(mx0z, sz0z)
+				xorPacked(mx0x, mz1x)
+				xorPacked(mx0z, mz1z)
+				xorPacked(mx1x, sz0x) // X_b → X_b·Z_a·Z_b
+				xorPacked(mx1z, sz0z)
+				xorPacked(mx1x, mz1x)
+				xorPacked(mx1z, mz1z)
 			}
 		case circuit.OpSWAP:
 			copy(mx0x, mx1x)

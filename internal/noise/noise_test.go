@@ -215,44 +215,72 @@ func TestOverrides(t *testing.T) {
 	}
 }
 
-// TestSimulateErrors covers the input contract.
+// TestSimulateErrors covers the input contract of both entry points: every
+// row runs against Simulate and Sample (sample-only rows, which need a shot
+// offset, against Sample alone), since both share one argument-check path.
 func TestSimulateErrors(t *testing.T) {
 	mo := Model{}
-	if _, err := Simulate(context.Background(), mo, bellWitness(), Run{Shots: 0}); err == nil {
-		t.Error("zero shots accepted")
-	}
-	// A Clifford (here: gate-free) witness beyond the dense cap dispatches
-	// to the stabilizer engine instead of failing.
-	if _, err := Simulate(context.Background(), mo, Witness{NSlots: MaxQubits + 1}, Run{Shots: 1}); err != nil {
-		t.Errorf("Clifford witness beyond the dense cap rejected: %v", err)
-	}
-	// A non-Clifford witness has only the dense engine, so its cap applies.
 	tGate := []circuit.Gate{{Op: circuit.OpT, Q0: 0, Q1: -1}}
-	if _, err := Simulate(context.Background(), mo, Witness{NSlots: MaxQubits + 1, Gates: tGate}, Run{Shots: 1}); err == nil {
-		t.Error("overwide non-Clifford witness accepted")
-	}
-	// Nothing handles witnesses beyond the stabilizer cap.
-	if _, err := Simulate(context.Background(), mo, Witness{NSlots: MaxStabQubits + 1}, Run{Shots: 1}); err == nil {
-		t.Error("witness beyond the stabilizer cap accepted")
-	}
-	if _, err := Simulate(context.Background(), mo, bellWitness(), Run{Shots: 1, Engine: "bogus"}); err == nil {
-		t.Error("unknown engine accepted")
-	}
-	if _, err := Simulate(context.Background(), mo, Witness{NSlots: MaxQubits + 1, Gates: nil}, Run{Shots: 1, Engine: EngineDense}); err == nil {
-		t.Error("engine=dense accepted an overwide witness")
-	}
-	var nce *stab.NonCliffordError
-	if _, err := Simulate(context.Background(), mo, Witness{NSlots: 2, Gates: tGate}, Run{Shots: 1, Engine: EngineStab}); !errors.As(err, &nce) {
-		t.Errorf("engine=stab on a T gate: err = %v, want *stab.NonCliffordError", err)
-	}
-	bad := Witness{NSlots: 2, Gates: []circuit.Gate{{Op: circuit.OpCX, Q0: 0, Q1: 5}}}
-	if _, err := Simulate(context.Background(), mo, bad, Run{Shots: 1}); err == nil {
-		t.Error("out-of-range witness gate accepted")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Simulate(ctx, mo, bellWitness(), Run{Shots: 100000}); err == nil {
-		t.Error("cancelled context completed")
+	type entry func(ctx context.Context, w Witness, shots int, offset int64, engine string) error
+	entries := map[string]entry{
+		"simulate": func(ctx context.Context, w Witness, shots int, _ int64, engine string) error {
+			_, err := Simulate(ctx, mo, w, Run{Shots: shots, Engine: engine})
+			return err
+		},
+		"sample": func(ctx context.Context, w Witness, shots int, offset int64, engine string) error {
+			_, err := Sample(ctx, mo, w, SampleRun{Shots: shots, Offset: offset, Engine: engine})
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		name       string
+		ctx        context.Context
+		w          Witness
+		shots      int
+		offset     int64
+		engine     string
+		ok         bool // the run must succeed
+		nonCliff   bool // the error must wrap *stab.NonCliffordError
+		sampleOnly bool
+	}{
+		{name: "zero shots", w: bellWitness(), shots: 0},
+		// A Clifford (here: gate-free) witness beyond the dense cap
+		// dispatches to the stabilizer engine instead of failing.
+		{name: "Clifford beyond the dense cap", w: Witness{NSlots: MaxQubits + 1}, shots: 1, ok: true},
+		// A non-Clifford witness has only the dense engine, so its cap applies.
+		{name: "overwide non-Clifford", w: Witness{NSlots: MaxQubits + 1, Gates: tGate}, shots: 1},
+		// Nothing handles witnesses beyond the stabilizer cap.
+		{name: "beyond the stabilizer cap", w: Witness{NSlots: MaxStabQubits + 1}, shots: 1},
+		{name: "unknown engine", w: bellWitness(), shots: 1, engine: "bogus"},
+		{name: "engine=dense overwide", w: Witness{NSlots: MaxQubits + 1}, shots: 1, engine: EngineDense},
+		{name: "engine=stab on a T gate", w: Witness{NSlots: 2, Gates: tGate}, shots: 1, engine: EngineStab, nonCliff: true},
+		{name: "out-of-range witness gate", w: Witness{NSlots: 2, Gates: []circuit.Gate{{Op: circuit.OpCX, Q0: 0, Q1: 5}}}, shots: 1},
+		{name: "cancelled context", ctx: cancelled, w: bellWitness(), shots: 100000},
+		{name: "negative offset", w: bellWitness(), shots: 1, offset: -1, sampleOnly: true},
+		{name: "range beyond MaxShotIndex", w: bellWitness(), shots: 10, offset: MaxShotIndex - 5, sampleOnly: true},
+		{name: "range ending at MaxShotIndex", w: bellWitness(), shots: 10, offset: MaxShotIndex - 10, ok: true, sampleOnly: true},
+	} {
+		for name, run := range entries {
+			if tc.sampleOnly && name != "sample" {
+				continue
+			}
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			err := run(ctx, tc.w, tc.shots, tc.offset, tc.engine)
+			var nce *stab.NonCliffordError
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("%s: %s rejected: %v", name, tc.name, err)
+			case !tc.ok && err == nil:
+				t.Errorf("%s: %s accepted", name, tc.name)
+			case tc.nonCliff && !errors.As(err, &nce):
+				t.Errorf("%s: %s: err = %v, want *stab.NonCliffordError", name, tc.name, err)
+			}
+		}
 	}
 }
 

@@ -3,16 +3,7 @@ package noise
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"atomique/internal/obs"
-	"atomique/internal/sim"
-	"atomique/internal/stab"
 )
 
 // MaxSampleKeys caps the distinct bitstrings one sampling run will aggregate.
@@ -83,7 +74,6 @@ type samplePartial struct {
 	counts                  map[string]*int64
 	records                 []ShotRecord
 	survived, lost, errored int
-	done                    chan struct{}
 }
 
 // Sample runs the Monte-Carlo sampling trajectories: Shots independent
@@ -96,227 +86,59 @@ type samplePartial struct {
 // ideal output directly — a CDF binary search on the dense engine, an
 // affine-subspace draw (stab.Sampler) on the stabilizer engine. Errored
 // dense shots replay and sample the errored state; errored stab shots XOR
-// the shot's Pauli-frame X bits into the ideal draw, since X^aZ^b|ψ⟩ has
-// |⟨z|X^aZ^b|ψ⟩|² = |⟨z⊕a|ψ⟩|². Lost shots produce no bitstring.
+// the shot's Pauli-frame X bits into the ideal draw. Lost shots produce no
+// bitstring.
 func Sample(ctx context.Context, mo Model, w Witness, run SampleRun) (*SampleResult, error) {
-	if run.Shots <= 0 {
-		return nil, fmt.Errorf("noise: shots must be positive, got %d", run.Shots)
+	p, err := prepare(ctx, mo, w, run.Engine, run.Shots, run.Offset, run.Workers, true)
+	if err != nil {
+		return nil, err
 	}
-	if run.Offset < 0 {
-		return nil, fmt.Errorf("noise: shot offset must be non-negative, got %d", run.Offset)
-	}
-	if run.Offset > MaxShotIndex-int64(run.Shots) {
-		return nil, fmt.Errorf("noise: shot range [%d, %d) exceeds the global index cap 2^40", run.Offset, run.Offset+int64(run.Shots))
-	}
-	if !ValidEngine(run.Engine) {
-		return nil, fmt.Errorf("noise: unknown engine %q (want %s, %s, or %s)", run.Engine, EngineAuto, EngineDense, EngineStab)
-	}
-	if w.NSlots <= 0 {
-		return nil, fmt.Errorf("noise: witness register %d slots wide; want at least 1", w.NSlots)
-	}
-	engine := ResolveEngine(run.Engine, w)
-	switch {
-	case engine == EngineDense && w.NSlots > MaxQubits:
-		return nil, fmt.Errorf("noise: witness register %d slots wide; the dense trajectory engine handles 1..%d (Clifford witnesses dispatch to engine=stab)", w.NSlots, MaxQubits)
-	case engine == EngineStab && w.NSlots > MaxStabQubits:
-		return nil, fmt.Errorf("noise: witness register %d slots wide; the stabilizer trajectory engine handles 1..%d", w.NSlots, MaxStabQubits)
-	}
-	for i, g := range w.Gates {
-		if g.Q0 < 0 || g.Q0 >= w.NSlots || (g.IsTwoQubit() && (g.Q1 < 0 || g.Q1 >= w.NSlots)) {
-			return nil, fmt.Errorf("noise: witness gate %d (%v) addresses a slot outside [0,%d)", i, g, w.NSlots)
-		}
-	}
-	workers := run.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	parent := obs.SpanFromContext(ctx)
-	replaySpan := parent.StartChild("witness.replay")
-	var ideal *sim.State
-	var denseSampler *sim.Sampler
-	var tab *stab.Tableau
-	var stabSampler *stab.Sampler
-	var ct *conjTable
-	switch engine {
-	case EngineStab:
-		t, err := stab.New(w.NSlots)
-		if err != nil {
-			return nil, fmt.Errorf("noise: %w", err)
-		}
-		if err := t.Run(w.Gates); err != nil {
-			return nil, fmt.Errorf("noise: engine=%s: %w", EngineStab, err)
-		}
-		s, err := t.NewSampler()
-		if err != nil {
-			return nil, fmt.Errorf("noise: %w", err)
-		}
-		tab, stabSampler = t, s
-		ct = newConjTable(w)
-	default:
-		st, err := sim.NewState(w.NSlots)
-		if err != nil {
-			return nil, fmt.Errorf("noise: %w", err)
-		}
-		for _, g := range w.Gates {
-			st.Apply(g)
-		}
-		ideal = st
-		denseSampler = sim.NewSampler(st)
-	}
-	if replaySpan != nil {
-		replaySpan.SetAttr("slots", strconv.Itoa(w.NSlots))
-		replaySpan.SetAttr("gates", strconv.Itoa(len(w.Gates)))
-		replaySpan.SetAttr("engine", engine)
-		replaySpan.End()
-	}
-
-	var oneQSites, twoQSites []int
-	for i, g := range w.Gates {
-		if g.IsTwoQubit() {
-			twoQSites = append(twoQSites, i)
-		} else {
-			oneQSites = append(oneQSites, i)
-		}
-	}
-
-	numChunks := (run.Shots + chunkShots - 1) / chunkShots
-	sampleSpan := parent.StartChild("noise.sample")
-	if sampleSpan != nil {
-		sampleSpan.SetAttr("shots", strconv.Itoa(run.Shots))
-		sampleSpan.SetAttr("offset", strconv.FormatInt(run.Offset, 10))
-		sampleSpan.SetAttr("chunks", strconv.Itoa(numChunks))
-		sampleSpan.SetAttr("workers", strconv.Itoa(workers))
-		sampleSpan.SetAttr("engine", engine)
-		sampleSpan.SetAttr("stream", strconv.FormatBool(run.Emit != nil))
-	}
-	partials := make([]samplePartial, numChunks)
-	for i := range partials {
-		partials[i].done = make(chan struct{})
-	}
-	var nextChunk atomic.Int64
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	// When streaming, bound worker look-ahead past the emit cursor so
-	// buffered shot records stay O(workers·chunk) however slow the consumer:
-	// a worker surrenders a ticket per chunk it claims, the emitter returns
-	// one per chunk it flushes.
-	var tickets chan struct{}
-	stop := make(chan struct{})
+	partials := make([]samplePartial, p.chunks())
+	var flush func(c int) error
 	if run.Emit != nil {
-		tickets = make(chan struct{}, workers*4)
-		for i := 0; i < cap(tickets); i++ {
-			tickets <- struct{}{}
+		flush = func(c int) error {
+			err := run.Emit(partials[c].records)
+			partials[c].records = nil
+			return err
 		}
 	}
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sh := newShotSim(mo, w, ideal, tab, ct, oneQSites, twoQSites)
-			sh.denseSampler = denseSampler
-			sh.stabSampler = stabSampler
-			sh.outBuf = make([]uint64, (w.NSlots+63)/64)
-			sh.keyBuf = make([]byte, w.NSlots)
-			for {
-				if tickets != nil {
-					select {
-					case <-tickets:
-					case <-stop:
-						return
-					}
-				}
-				c := int(nextChunk.Add(1) - 1)
-				if c >= numChunks || cancelled.Load() {
-					return
-				}
-				if ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				sp := &partials[c]
-				sp.counts = make(map[string]*int64)
-				lo := c * chunkShots
-				hi := lo + chunkShots
-				if hi > run.Shots {
-					hi = run.Shots
-				}
-				chunkStart := time.Now()
-				for shot := lo; shot < hi; shot++ {
-					g := run.Offset + int64(shot)
-					lost, errored := sh.runSample(run.Seed, g)
-					switch {
-					case lost:
-						sp.lost++
-						sp.errored++
-					case errored:
-						sp.errored++
-					default:
-						sp.survived++
-					}
-					var bitsStr string
-					if !lost {
-						// Alloc-free lookup on the hot path; the key string
-						// materialises once per distinct outcome.
-						if p, ok := sp.counts[string(sh.keyBuf)]; ok {
-							*p++
-						} else {
-							bitsStr = string(sh.keyBuf)
-							one := int64(1)
-							sp.counts[bitsStr] = &one
-						}
-					}
-					if run.Emit != nil {
-						if bitsStr == "" && !lost {
-							bitsStr = string(sh.keyBuf)
-						}
-						sp.records = append(sp.records, ShotRecord{Shot: g, Bits: bitsStr, Lost: lost})
-					}
-				}
-				close(sp.done)
-				if sampleSpan != nil {
-					if cs := sampleSpan.Record("chunk", chunkStart, time.Since(chunkStart)); cs != nil {
-						cs.SetAttr("shots", fmt.Sprintf("%d..%d", run.Offset+int64(lo), run.Offset+int64(hi-1)))
-					}
+	err = p.drive(ctx, func(sh *shotSim, c, lo, hi int) {
+		sp := &partials[c]
+		sp.counts = make(map[string]*int64)
+		for shot := lo; shot < hi; shot++ {
+			g := run.Offset + int64(shot)
+			lost, errored := sh.runSample(run.Seed, g)
+			switch {
+			case lost:
+				sp.lost++
+				sp.errored++
+			case errored:
+				sp.errored++
+			default:
+				sp.survived++
+			}
+			var bitsStr string
+			if !lost {
+				// Alloc-free lookup on the hot path; the key string
+				// materialises once per distinct outcome.
+				if n, ok := sp.counts[string(sh.keyBuf)]; ok {
+					*n++
+				} else {
+					bitsStr = string(sh.keyBuf)
+					one := int64(1)
+					sp.counts[bitsStr] = &one
 				}
 			}
-		}()
-	}
-	workersDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(workersDone)
-	}()
-
-	var emitErr error
-	if run.Emit != nil {
-	emitLoop:
-		for c := 0; c < numChunks; c++ {
-			select {
-			case <-partials[c].done:
-			case <-workersDone:
-				select {
-				case <-partials[c].done:
-				default:
-					break emitLoop // run aborted before chunk c computed
+			if run.Emit != nil {
+				if bitsStr == "" && !lost {
+					bitsStr = string(sh.keyBuf)
 				}
+				sp.records = append(sp.records, ShotRecord{Shot: g, Bits: bitsStr, Lost: lost})
 			}
-			if err := run.Emit(partials[c].records); err != nil {
-				cancelled.Store(true)
-				emitErr = err
-				break emitLoop
-			}
-			tickets <- struct{}{}
 		}
-		close(stop)
-	}
-	<-workersDone
-	sampleSpan.End()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("noise: sampling cancelled: %w", err)
-	}
-	if emitErr != nil {
-		return nil, fmt.Errorf("noise: shot stream aborted: %w", emitErr)
+	}, flush)
+	if err != nil {
+		return nil, err
 	}
 
 	// Deterministic reduction in chunk order (map content is order-free, the
@@ -325,16 +147,16 @@ func Sample(ctx context.Context, mo Model, w Witness, run SampleRun) (*SampleRes
 		Shots:  run.Shots,
 		Offset: run.Offset,
 		Seed:   run.Seed,
-		Engine: engine,
+		Engine: p.engine,
 		NSlots: w.NSlots,
 		Counts: make(map[string]int64),
 	}
 	for i := range partials {
-		p := &partials[i]
-		res.Survived += p.survived
-		res.LostShots += p.lost
-		res.ErrorShots += p.errored
-		for k, v := range p.counts {
+		sp := &partials[i]
+		res.Survived += sp.survived
+		res.LostShots += sp.lost
+		res.ErrorShots += sp.errored
+		for k, v := range sp.counts {
 			res.Counts[k] += *v
 		}
 		if len(res.Counts) > MaxSampleKeys {
@@ -345,47 +167,14 @@ func Sample(ctx context.Context, mo Model, w Witness, run SampleRun) (*SampleRes
 	return res, nil
 }
 
-// runSample executes one trajectory and leaves its rendered bitstring in
-// s.keyBuf (unless the shot was lost). The event-sampling draws match
-// shotSim.run exactly; measurement draws consume the stream after them.
+// runSample executes one trajectory and, unless an atom-loss event destroyed
+// the register, leaves its measured bitstring in s.keyBuf.
 func (s *shotSim) runSample(seed, shot int64) (lost, errored bool) {
-	r := shotRNG(seed, shot)
-	s.events = s.events[:0]
-	for ci := range s.mo.Channels {
-		c := &s.mo.Channels[ci]
-		if s.sampleChannel(&r, c) > 0 && c.Kind == Loss {
-			lost = true
-		}
+	r, lost := s.draw(seed, shot, nil)
+	if !lost {
+		s.rep.measure(s.events, r, s.keyBuf)
 	}
-	errored = lost || len(s.events) > 0
-	if lost {
-		return
-	}
-	if s.tab != nil {
-		s.stabSampler.Shot(s.outBuf, r.next)
-		if len(s.events) > 0 {
-			f := s.stabFrame()
-			for w := range s.outBuf {
-				s.outBuf[w] ^= f.X[w]
-			}
-		}
-		for q := 0; q < s.w.NSlots; q++ {
-			s.keyBuf[q] = '0' + byte(s.outBuf[q>>6]>>uint(q&63)&1)
-		}
-		return
-	}
-	var idx int
-	if len(s.events) == 0 {
-		idx = s.denseSampler.Draw(r.open01())
-	} else {
-		sort.Slice(s.events, func(i, j int) bool { return s.events[i].pos < s.events[j].pos })
-		s.replayDenseState()
-		idx = sim.SampleState(s.scratch, r.open01())
-	}
-	for q := 0; q < s.w.NSlots; q++ {
-		s.keyBuf[q] = '0' + byte(idx>>uint(q)&1)
-	}
-	return
+	return lost, lost || len(s.events) > 0
 }
 
 // MergeSamples combines shard results from disjoint shot ranges of the same

@@ -6,34 +6,75 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"atomique/internal/circuit"
 	"atomique/internal/sim"
-	"atomique/internal/stab"
 )
+
+// stabShotSim is a worker's shotSim with its stabilizer replayer exposed.
+type stabShotSim struct {
+	*shotSim
+	*stabReplay
+}
 
 // buildStabShotSim wires a shotSim for a Clifford witness the way Simulate
 // does, for tests that drive the per-shot machinery directly.
-func buildStabShotSim(t *testing.T, mo Model, w Witness) *shotSim {
+func buildStabShotSim(t *testing.T, mo Model, w Witness) *stabShotSim {
 	t.Helper()
-	tab, err := stab.New(w.NSlots)
+	p, err := prepare(context.Background(), mo, w, EngineStab, 1, 0, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Run(w.Gates); err != nil {
-		t.Fatal(err)
-	}
-	var oneQ, twoQ []int
-	for i, g := range w.Gates {
-		if g.IsTwoQubit() {
-			twoQ = append(twoQ, i)
-		} else {
-			oneQ = append(oneQ, i)
+	sh := p.newShotSim()
+	return &stabShotSim{shotSim: sh, stabReplay: sh.rep.(*stabReplay)}
+}
+
+// replayStabNaive is the pre-table reference implementation — the frame
+// conjugated gate by gate through the witness suffix. Kept for the
+// differential test pinning conjTable to it bit for bit.
+func (s *stabShotSim) replayStabNaive() float64 {
+	sort.Slice(s.events, func(i, j int) bool { return s.events[i].pos < s.events[j].pos })
+	f := s.frame
+	f.Reset()
+	ei := 0
+	// Gates before the first event act on an identity frame — skip them.
+	for gi := s.events[0].pos; gi <= len(s.w.Gates); gi++ {
+		for ei < len(s.events) && s.events[ei].pos == gi {
+			s.injectEvent(&s.events[ei])
+			ei++
+		}
+		if gi < len(s.w.Gates) {
+			f.Conjugate(s.w.Gates[gi])
 		}
 	}
-	return newShotSim(mo, w, nil, tab, newConjTable(w), oneQ, twoQ)
+	if s.tab.Disturbs(f) {
+		return 0
+	}
+	return 1
+}
+
+// injectEvent multiplies one sampled error into the Pauli frame.
+func (s *stabShotSim) injectEvent(e *event) {
+	inject := func(q, p int) {
+		switch p {
+		case 1:
+			s.frame.InjectX(q)
+		case 2:
+			s.frame.InjectY(q)
+		case 3:
+			s.frame.InjectZ(q)
+		}
+	}
+	switch e.kind {
+	case Pauli2Q:
+		inject(e.q0, e.pauli&3)
+		inject(e.q1, e.pauli>>2)
+	default: // Pauli1Q, Dephase
+		inject(e.q0, e.pauli&3)
+	}
 }
 
 // TestConjTableMatchesNaiveReplay pins the precomputed conjugation table to
@@ -77,7 +118,7 @@ func TestConjTableMatchesNaiveReplay(t *testing.T) {
 				continue
 			}
 			checked++
-			fast := sh.replayStab()
+			fast := sh.score(sh.events)
 			fx := append([]uint64(nil), sh.frame.X...)
 			fz := append([]uint64(nil), sh.frame.Z...)
 			naive := sh.replayStabNaive()

@@ -83,7 +83,7 @@ func TestEngineAgreementOnClifford(t *testing.T) {
 	}
 }
 
-// TestAutoDispatch checks ResolveEngine end to end: Clifford witnesses land
+// TestAutoDispatch checks Dispatch end to end: Clifford witnesses land
 // on the tableau engine, anything else on the dense fallback.
 func TestAutoDispatch(t *testing.T) {
 	mo := testModel(4, 4)

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -14,7 +13,6 @@ import (
 
 	"atomique/internal/circuit"
 	"atomique/internal/obs"
-	"atomique/internal/sim"
 	"atomique/internal/stab"
 )
 
@@ -40,14 +38,55 @@ const (
 	EngineStab = "stab"
 )
 
-// ValidEngine reports whether name is an accepted Run.Engine value
-// (the empty string means EngineAuto).
-func ValidEngine(name string) bool {
-	switch name {
-	case "", EngineAuto, EngineDense, EngineStab:
-		return true
+// Dispatch is the engine-dispatch rule of every trajectory run — Simulate,
+// Sample, and the compile service's pre-compile request check. It resolves
+// the requested engine (EngineAuto or "", EngineDense, EngineStab) for a
+// register of slots qubits running gates: auto picks the stabilizer engine
+// when every gate is Clifford and the dense engine otherwise. The width must
+// fit the chosen engine's cap, and pinning EngineStab on a stream with a
+// non-Clifford gate returns an error wrapping *stab.NonCliffordError.
+func Dispatch(requested string, slots int, gates []circuit.Gate) (string, error) {
+	engine := requested
+	switch requested {
+	case EngineDense, EngineStab:
+	case "", EngineAuto:
+		engine = EngineDense
+		if circuit.AllClifford(gates) {
+			engine = EngineStab
+		}
+	default:
+		return "", fmt.Errorf("unknown engine %q (want %s, %s, or %s)", requested, EngineAuto, EngineDense, EngineStab)
 	}
-	return false
+	switch {
+	case slots <= 0:
+		return "", fmt.Errorf("witness register %d slots wide; want at least 1", slots)
+	case engine == EngineDense && slots > MaxQubits:
+		return "", fmt.Errorf("witness register %d slots wide; the dense trajectory engine handles 1..%d (Clifford witnesses dispatch to engine=stab)", slots, MaxQubits)
+	case engine == EngineStab && slots > MaxStabQubits:
+		return "", fmt.Errorf("witness register %d slots wide; the stabilizer trajectory engine handles 1..%d", slots, MaxStabQubits)
+	}
+	if requested == EngineStab {
+		for i, g := range gates {
+			if !circuit.IsCliffordGate(g) {
+				return "", fmt.Errorf("engine=%s: %w", EngineStab, &stab.NonCliffordError{Gate: g, Index: i})
+			}
+		}
+	}
+	return engine, nil
+}
+
+// CheckShots validates a trajectory shot range [offset, offset+shots): at
+// least one shot, a non-negative offset, and an end inside MaxShotIndex.
+func CheckShots(shots int, offset int64) error {
+	switch {
+	case shots <= 0:
+		return fmt.Errorf("shots must be positive, got %d", shots)
+	case offset < 0:
+		return fmt.Errorf("shot offset must be non-negative, got %d", offset)
+	case offset > MaxShotIndex-int64(shots):
+		return fmt.Errorf("shot range [%d, %d) exceeds the global index cap 2^40", offset, offset+int64(shots))
+	}
+	return nil
 }
 
 // Witness is the executable gate stream a compilation produced — a mirror of
@@ -58,6 +97,17 @@ type Witness struct {
 	NSlots int
 	// Gates is the stream in execution order; slots are in [0, NSlots).
 	Gates []circuit.Gate
+}
+
+// CheckSlots reports the first gate that addresses a slot outside
+// [0, NSlots).
+func (w Witness) CheckSlots() error {
+	for i, g := range w.Gates {
+		if g.Q0 < 0 || g.Q0 >= w.NSlots || (g.IsTwoQubit() && (g.Q1 < 0 || g.Q1 >= w.NSlots)) {
+			return fmt.Errorf("witness gate %d (%v) addresses a slot outside [0,%d)", i, g, w.NSlots)
+		}
+	}
+	return nil
 }
 
 // Run configures one trajectory simulation.
@@ -188,6 +238,175 @@ type event struct {
 // order whatever the worker count — keeping Estimate deterministic.
 const chunkShots = 256
 
+// plan is a validated trajectory run, shared read-only by its workers: the
+// resolved engine, the replayer holding its noise-free reference, and the
+// error-site tables gate-attached events pick from.
+type plan struct {
+	mo        Model
+	w         Witness
+	engine    string
+	ref       replayer
+	oneQSites []int
+	twoQSites []int
+	sampling  bool
+	shots     int
+	offset    int64
+	workers   int
+}
+
+// prepare is the one argument-check and set-up path of Simulate and Sample:
+// shot range, engine dispatch with its width cap, witness slot range, then
+// the noise-free reference (under a witness.replay span) and the error-site
+// tables. Sampling runs also build the reference's outcome sampler.
+func prepare(ctx context.Context, mo Model, w Witness, engine string, shots int, offset int64, workers int, sampling bool) (*plan, error) {
+	if err := CheckShots(shots, offset); err != nil {
+		return nil, fmt.Errorf("noise: %w", err)
+	}
+	engine, err := Dispatch(engine, w.NSlots, w.Gates)
+	if err == nil {
+		err = w.CheckSlots()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("noise: %w", err)
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	p := &plan{mo: mo, w: w, engine: engine, sampling: sampling, shots: shots, offset: offset, workers: workers}
+
+	// Traced callers (the compile service) get spans for the witness replay
+	// and the parallel shot loop; untraced callers pay a nil check.
+	replaySpan := obs.SpanFromContext(ctx).StartChild("witness.replay")
+	if engine == EngineStab {
+		p.ref, err = newStabReplay(w, sampling)
+	} else {
+		p.ref, err = newDenseReplay(w, sampling)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if replaySpan != nil {
+		replaySpan.SetAttr("slots", strconv.Itoa(w.NSlots))
+		replaySpan.SetAttr("gates", strconv.Itoa(len(w.Gates)))
+		replaySpan.SetAttr("engine", engine)
+		replaySpan.End()
+	}
+
+	// Error-site tables: gate-attached events pick a uniform site of their
+	// kind in the witness stream.
+	for i, g := range w.Gates {
+		if g.IsTwoQubit() {
+			p.twoQSites = append(p.twoQSites, i)
+		} else {
+			p.oneQSites = append(p.oneQSites, i)
+		}
+	}
+	return p, nil
+}
+
+func (p *plan) chunks() int { return (p.shots + chunkShots - 1) / chunkShots }
+
+// drive is the chunk driver of Simulate and Sample. Workers claim
+// chunkShots-shot chunks in index order and run each through do(sh, c, lo,
+// hi) on their own shotSim, for the run's local shots [lo, hi); callers keep
+// one partial per chunk and reduce them in chunk order, so results do not
+// depend on the worker count. A cancelled ctx stops the workers at the next
+// chunk. The loop runs under a noise.trajectory (noise.sample) span with one
+// "chunk" child per chunk, recorded from the workers (obs spans are
+// concurrency-safe) and capped by the span's child limit.
+//
+// When flush is non-nil the calling goroutine hands it every finished chunk
+// in chunk order, and worker look-ahead past the flush cursor is bounded so
+// buffered chunks stay O(workers) however slow the consumer: a worker
+// surrenders a ticket per chunk it claims, and each flushed chunk returns
+// one. A flush error stops the run.
+func (p *plan) drive(ctx context.Context, do func(sh *shotSim, c, lo, hi int), flush func(c int) error) error {
+	name, verb := "noise.trajectory", "simulation"
+	if p.sampling {
+		name, verb = "noise.sample", "sampling"
+	}
+	numChunks := p.chunks()
+	span := obs.SpanFromContext(ctx).StartChild(name)
+	if span != nil {
+		span.SetAttr("shots", strconv.Itoa(p.shots))
+		span.SetAttr("chunks", strconv.Itoa(numChunks))
+		span.SetAttr("workers", strconv.Itoa(p.workers))
+		span.SetAttr("engine", p.engine)
+		if p.sampling {
+			span.SetAttr("offset", strconv.FormatInt(p.offset, 10))
+			span.SetAttr("stream", strconv.FormatBool(flush != nil))
+		}
+	}
+
+	var done []chan struct{}
+	var tickets chan struct{}
+	if flush != nil {
+		done = make([]chan struct{}, numChunks)
+		for c := range done {
+			done[c] = make(chan struct{})
+		}
+		tickets = make(chan struct{}, p.workers*4)
+		for i := 0; i < cap(tickets); i++ {
+			tickets <- struct{}{}
+		}
+	}
+	var nextChunk atomic.Int64
+	var cancelled atomic.Bool
+	var wg sync.WaitGroup
+	for wk := 0; wk < p.workers; wk++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sh := p.newShotSim()
+			for {
+				if tickets != nil {
+					<-tickets // closed once the flush loop is over
+				}
+				c := int(nextChunk.Add(1) - 1)
+				if c >= numChunks || cancelled.Load() || ctx.Err() != nil {
+					return
+				}
+				lo := c * chunkShots
+				hi := min(lo+chunkShots, p.shots)
+				chunkStart := time.Now()
+				do(sh, c, lo, hi)
+				if done != nil {
+					close(done[c])
+				}
+				if span != nil {
+					if cs := span.Record("chunk", chunkStart, time.Since(chunkStart)); cs != nil {
+						cs.SetAttr("shots", fmt.Sprintf("%d..%d", p.offset+int64(lo), p.offset+int64(hi-1)))
+					}
+				}
+			}
+		}()
+	}
+
+	var flushErr error
+	if flush != nil {
+		for c := 0; c < numChunks && flushErr == nil && ctx.Err() == nil; c++ {
+			select {
+			case <-done[c]:
+				if flushErr = flush(c); flushErr != nil {
+					cancelled.Store(true)
+				}
+				tickets <- struct{}{}
+			case <-ctx.Done(): // the workers stop without finishing chunk c
+			}
+		}
+		close(tickets)
+	}
+	wg.Wait()
+	span.End()
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("noise: %s cancelled: %w", verb, err)
+	}
+	if flushErr != nil {
+		return fmt.Errorf("noise: shot stream aborted: %w", flushErr)
+	}
+	return nil
+}
+
 // partial accumulates one chunk's statistics.
 type partial struct {
 	sumF, sumF2 float64
@@ -195,21 +414,6 @@ type partial struct {
 	lost        int
 	errored     int
 	events      []int64
-}
-
-// ResolveEngine performs auto-dispatch for a witness: the engine Simulate
-// will score trajectories with, given the requested engine name ("" meaning
-// auto). It does not validate width limits — Simulate reports those.
-func ResolveEngine(requested string, w Witness) string {
-	switch requested {
-	case EngineDense, EngineStab:
-		return requested
-	default: // "", EngineAuto
-		if circuit.AllClifford(w.Gates) && w.NSlots <= MaxStabQubits {
-			return EngineStab
-		}
-		return EngineDense
-	}
 }
 
 // Simulate runs the Monte-Carlo trajectory estimation: Shots independent
@@ -227,145 +431,33 @@ func ResolveEngine(requested string, w Witness) string {
 // engines; results remain deterministic per (model, witness, shots, seed,
 // engine) whatever the worker count.
 func Simulate(ctx context.Context, mo Model, w Witness, run Run) (*Estimate, error) {
-	if run.Shots <= 0 {
-		return nil, fmt.Errorf("noise: shots must be positive, got %d", run.Shots)
+	p, err := prepare(ctx, mo, w, run.Engine, run.Shots, 0, run.Workers, false)
+	if err != nil {
+		return nil, err
 	}
-	if !ValidEngine(run.Engine) {
-		return nil, fmt.Errorf("noise: unknown engine %q (want %s, %s, or %s)", run.Engine, EngineAuto, EngineDense, EngineStab)
-	}
-	if w.NSlots <= 0 {
-		return nil, fmt.Errorf("noise: witness register %d slots wide; want at least 1", w.NSlots)
-	}
-	engine := ResolveEngine(run.Engine, w)
-	switch {
-	case engine == EngineDense && w.NSlots > MaxQubits:
-		return nil, fmt.Errorf("noise: witness register %d slots wide; the dense trajectory engine handles 1..%d (Clifford witnesses dispatch to engine=stab)", w.NSlots, MaxQubits)
-	case engine == EngineStab && w.NSlots > MaxStabQubits:
-		return nil, fmt.Errorf("noise: witness register %d slots wide; the stabilizer trajectory engine handles 1..%d", w.NSlots, MaxStabQubits)
-	}
-	for i, g := range w.Gates {
-		if g.Q0 < 0 || g.Q0 >= w.NSlots || (g.IsTwoQubit() && (g.Q1 < 0 || g.Q1 >= w.NSlots)) {
-			return nil, fmt.Errorf("noise: witness gate %d (%v) addresses a slot outside [0,%d)", i, g, w.NSlots)
+	partials := make([]partial, p.chunks())
+	err = p.drive(ctx, func(sh *shotSim, c, lo, hi int) {
+		pt := &partials[c]
+		pt.events = make([]int64, len(mo.Channels))
+		for shot := lo; shot < hi; shot++ {
+			sh.run(run.Seed, int64(shot), pt)
 		}
-	}
-	workers := run.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// Traced callers (the compile service) get spans for the witness replay
-	// and the parallel shot loop; chunk sub-spans are recorded from worker
-	// goroutines (obs spans are concurrency-safe) and capped by the span's
-	// child limit. Untraced callers pay a nil check.
-	parent := obs.SpanFromContext(ctx)
-
-	// The noise-free reference, shared read-only by every worker: a dense
-	// state vector, or the final stabilizer tableau.
-	replaySpan := parent.StartChild("witness.replay")
-	var ideal *sim.State
-	var tab *stab.Tableau
-	var ct *conjTable
-	switch engine {
-	case EngineStab:
-		t, err := stab.New(w.NSlots)
-		if err != nil {
-			return nil, fmt.Errorf("noise: %w", err)
-		}
-		if err := t.Run(w.Gates); err != nil {
-			return nil, fmt.Errorf("noise: engine=%s: %w", EngineStab, err)
-		}
-		tab = t
-		ct = newConjTable(w)
-	default:
-		st, err := sim.NewState(w.NSlots)
-		if err != nil {
-			return nil, fmt.Errorf("noise: %w", err)
-		}
-		for _, g := range w.Gates {
-			st.Apply(g)
-		}
-		ideal = st
-	}
-	if replaySpan != nil {
-		replaySpan.SetAttr("slots", strconv.Itoa(w.NSlots))
-		replaySpan.SetAttr("gates", strconv.Itoa(len(w.Gates)))
-		replaySpan.SetAttr("engine", engine)
-		replaySpan.End()
-	}
-
-	// Error-site tables: gate-attached events pick a uniform site of their
-	// kind in the witness stream.
-	var oneQSites, twoQSites []int
-	for i, g := range w.Gates {
-		if g.IsTwoQubit() {
-			twoQSites = append(twoQSites, i)
-		} else {
-			oneQSites = append(oneQSites, i)
-		}
-	}
-
-	numChunks := (run.Shots + chunkShots - 1) / chunkShots
-	trajSpan := parent.StartChild("noise.trajectory")
-	if trajSpan != nil {
-		trajSpan.SetAttr("shots", strconv.Itoa(run.Shots))
-		trajSpan.SetAttr("chunks", strconv.Itoa(numChunks))
-		trajSpan.SetAttr("workers", strconv.Itoa(workers))
-		trajSpan.SetAttr("engine", engine)
-	}
-	partials := make([]partial, numChunks)
-	var nextChunk atomic.Int64
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sh := newShotSim(mo, w, ideal, tab, ct, oneQSites, twoQSites)
-			for {
-				c := int(nextChunk.Add(1) - 1)
-				if c >= numChunks || cancelled.Load() {
-					return
-				}
-				if ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				pt := &partials[c]
-				pt.events = make([]int64, len(mo.Channels))
-				lo := c * chunkShots
-				hi := lo + chunkShots
-				if hi > run.Shots {
-					hi = run.Shots
-				}
-				chunkStart := time.Now()
-				for shot := lo; shot < hi; shot++ {
-					sh.run(run.Seed, int64(shot), pt)
-				}
-				if trajSpan != nil {
-					if cs := trajSpan.Record("chunk", chunkStart, time.Since(chunkStart)); cs != nil {
-						cs.SetAttr("shots", fmt.Sprintf("%d..%d", lo, hi-1))
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	trajSpan.End()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("noise: simulation cancelled: %w", err)
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	// Deterministic reduction in chunk order.
 	var tot partial
 	tot.events = make([]int64, len(mo.Channels))
 	for i := range partials {
-		p := &partials[i]
-		tot.sumF += p.sumF
-		tot.sumF2 += p.sumF2
-		tot.survived += p.survived
-		tot.lost += p.lost
-		tot.errored += p.errored
-		for j, n := range p.events {
+		pt := &partials[i]
+		tot.sumF += pt.sumF
+		tot.sumF2 += pt.sumF2
+		tot.survived += pt.survived
+		tot.lost += pt.lost
+		tot.errored += pt.errored
+		for j, n := range pt.events {
 			tot.events[j] += n
 		}
 	}
@@ -383,7 +475,7 @@ func Simulate(ctx context.Context, mo Model, w Witness, run Run) (*Estimate, err
 	est := &Estimate{
 		Shots:      run.Shots,
 		Seed:       run.Seed,
-		Engine:     engine,
+		Engine:     p.engine,
 		Fidelity:   mean,
 		StdErr:     stderr,
 		CILow:      clamp01(mean - 1.96*stderr),
@@ -401,71 +493,65 @@ func Simulate(ctx context.Context, mo Model, w Witness, run Run) (*Estimate, err
 	return est, nil
 }
 
-// shotSim is one worker's reusable trajectory state. Exactly one replay
-// engine is armed: dense (ideal + scratch state vectors) or stabilizer (the
-// shared read-only final tableau + a worker-private Pauli frame).
+// shotSim is one worker's reusable trajectory state: the per-shot event
+// draw over the plan's channels and error sites, and a worker-private fork
+// of the plan's replayer.
 type shotSim struct {
-	mo        Model
-	w         Witness
-	oneQSites []int
-	twoQSites []int
-	events    []event
-
-	ideal   *sim.State
-	scratch *sim.State
-
-	tab   *stab.Tableau
-	frame *stab.Frame
-	ct    *conjTable
-
-	// sampling-mode extras (nil/empty for plain Simulate)
-	denseSampler *sim.Sampler
-	stabSampler  *stab.Sampler
-	outBuf       []uint64 // qubit-packed outcome scratch (stab)
-	keyBuf       []byte   // rendered bitstring scratch, one byte per slot
+	*plan
+	rep    replayer
+	events []event
+	keyBuf []byte // rendered bitstring scratch, one byte per slot (sampling)
 }
 
-func newShotSim(mo Model, w Witness, ideal *sim.State, tab *stab.Tableau, ct *conjTable, oneQ, twoQ []int) *shotSim {
-	s := &shotSim{mo: mo, w: w, ideal: ideal, tab: tab, ct: ct, oneQSites: oneQ, twoQSites: twoQ}
-	if tab != nil {
-		s.frame = tab.NewFrame()
-	} else {
-		s.scratch = sim.MustNew(w.NSlots)
+func (p *plan) newShotSim() *shotSim {
+	s := &shotSim{plan: p, rep: p.ref.fork()}
+	if p.sampling {
+		s.keyBuf = make([]byte, p.w.NSlots)
 	}
 	return s
 }
 
-// run executes one trajectory and folds its outcome into pt.
-func (s *shotSim) run(seed int64, shot int64, pt *partial) {
-	r := shotRNG(seed, shot)
+// draw is the per-shot event draw of both entry points: it samples shot's
+// error events channel by channel into s.events and reports whether an
+// atom-loss event destroyed the register, adding per-channel hit counts into
+// hits when non-nil. The returned generator continues the shot's stream
+// after the event draws, which is where measurement draws come from.
+func (s *shotSim) draw(seed, shot int64, hits []int64) (r rng, lost bool) {
+	r = shotRNG(seed, shot)
 	s.events = s.events[:0]
-	lost := false
 	for ci := range s.mo.Channels {
 		c := &s.mo.Channels[ci]
-		hits := s.sampleChannel(&r, c)
-		if hits == 0 {
+		n := s.sampleChannel(&r, c)
+		if n == 0 {
 			continue
 		}
-		pt.events[ci] += int64(hits)
+		if hits != nil {
+			hits[ci] += int64(n)
+		}
 		if c.Kind == Loss {
 			lost = true
 		}
 	}
+	return r, lost
+}
+
+// run executes one trajectory and folds its outcome into pt.
+func (s *shotSim) run(seed int64, shot int64, pt *partial) {
+	_, lost := s.draw(seed, shot, pt.events)
 	switch {
-	case len(s.events) == 0 && !lost:
+	case lost:
+		pt.lost++
+		pt.errored++ // overlap 0: the register lost an atom
+	case len(s.events) == 0:
 		pt.survived++
 		pt.sumF++
 		pt.sumF2++
-		return
-	case lost:
-		pt.lost++
+	default:
 		pt.errored++
-		return // overlap 0: the register lost an atom
+		f := s.rep.score(s.events)
+		pt.sumF += f
+		pt.sumF2 += f * f
 	}
-	pt.errored++
-	f := s.replay()
-	pt.sumF += f
-	pt.sumF2 += f * f
 }
 
 // sampleChannel draws the channel's Binomial(trials, p) error events via
@@ -523,128 +609,5 @@ func (s *shotSim) placeEvent(r *rng, c *Channel) event {
 		return event{pos: r.intn(len(s.w.Gates) + 1), site: -1, kind: Pauli2Q, q0: q0, q1: q1, pauli: 1 + r.intn(15)}
 	default: // Dephase
 		return event{pos: r.intn(len(s.w.Gates) + 1), site: -1, kind: Dephase, q0: r.intn(s.w.NSlots), pauli: 3}
-	}
-}
-
-var pauliOps = [4]circuit.Op{0, circuit.OpX, circuit.OpY, circuit.OpZ}
-
-// replay scores one errored trajectory: the overlap of the execution with
-// the shot's events injected against the ideal output.
-func (s *shotSim) replay() float64 {
-	if s.tab != nil {
-		return s.replayStab()
-	}
-	sort.Slice(s.events, func(i, j int) bool { return s.events[i].pos < s.events[j].pos })
-	return s.replayDense()
-}
-
-// replayStab accumulates the shot's end-of-circuit Pauli frame and
-// syndrome-checks it against the final tableau's stabilizers: for a Clifford
-// trajectory the overlap is exactly 1 when the accumulated error commutes
-// with every stabilizer and 0 otherwise. Each event contributes its
-// precomputed conjugation image (see conjTable), so the replay is O(events)
-// — event order is irrelevant, XOR commutes.
-func (s *shotSim) replayStab() float64 {
-	if s.tab.Disturbs(s.stabFrame()) {
-		return 0
-	}
-	return 1
-}
-
-// stabFrame rebuilds the shot's end-of-circuit Pauli frame from its events.
-func (s *shotSim) stabFrame() *stab.Frame {
-	f := s.frame
-	f.Reset()
-	for i := range s.events {
-		s.ct.accumulate(f, &s.events[i])
-	}
-	return f
-}
-
-// replayStabNaive is the pre-table reference implementation — the frame
-// conjugated gate by gate through the witness suffix. Kept for the
-// differential test pinning conjTable to it bit for bit.
-func (s *shotSim) replayStabNaive() float64 {
-	sort.Slice(s.events, func(i, j int) bool { return s.events[i].pos < s.events[j].pos })
-	f := s.frame
-	f.Reset()
-	ei := 0
-	// Gates before the first event act on an identity frame — skip them.
-	for gi := s.events[0].pos; gi <= len(s.w.Gates); gi++ {
-		for ei < len(s.events) && s.events[ei].pos == gi {
-			s.injectEvent(&s.events[ei])
-			ei++
-		}
-		if gi < len(s.w.Gates) {
-			f.Conjugate(s.w.Gates[gi])
-		}
-	}
-	if s.tab.Disturbs(f) {
-		return 0
-	}
-	return 1
-}
-
-// injectEvent multiplies one sampled error into the Pauli frame.
-func (s *shotSim) injectEvent(e *event) {
-	inject := func(q, p int) {
-		switch p {
-		case 1:
-			s.frame.InjectX(q)
-		case 2:
-			s.frame.InjectY(q)
-		case 3:
-			s.frame.InjectZ(q)
-		}
-	}
-	switch e.kind {
-	case Pauli2Q:
-		inject(e.q0, e.pauli&3)
-		inject(e.q1, e.pauli>>2)
-	default: // Pauli1Q, Dephase
-		inject(e.q0, e.pauli&3)
-	}
-}
-
-// replayDense re-executes the witness in the dense simulator with the
-// shot's events injected and returns the overlap with the ideal output.
-func (s *shotSim) replayDense() float64 {
-	s.replayDenseState()
-	return sim.Fidelity(s.scratch, s.ideal)
-}
-
-// replayDenseState re-executes the witness with the shot's events injected
-// (events sorted by pos), leaving the errored final state in s.scratch.
-func (s *shotSim) replayDenseState() {
-	st := s.scratch
-	for i := range st.Amp {
-		st.Amp[i] = 0
-	}
-	st.Amp[0] = 1
-	ei := 0
-	apply := func(pos int) {
-		for ei < len(s.events) && s.events[ei].pos == pos {
-			s.applyEvent(st, &s.events[ei])
-			ei++
-		}
-	}
-	apply(0)
-	for gi, g := range s.w.Gates {
-		st.Apply(g)
-		apply(gi + 1)
-	}
-}
-
-func (s *shotSim) applyEvent(st *sim.State, e *event) {
-	switch e.kind {
-	case Pauli2Q:
-		if p := e.pauli & 3; p != 0 {
-			st.Apply(circuit.Gate{Op: pauliOps[p], Q0: e.q0, Q1: -1})
-		}
-		if p := e.pauli >> 2; p != 0 {
-			st.Apply(circuit.Gate{Op: pauliOps[p], Q0: e.q1, Q1: -1})
-		}
-	default: // Pauli1Q, Dephase
-		st.Apply(circuit.Gate{Op: pauliOps[e.pauli&3], Q0: e.q0, Q1: -1})
 	}
 }

@@ -283,12 +283,12 @@ func New(cfg Config, totals TotalsFunc, opts ...Option) *Engine {
 	return e
 }
 
-// Start begins periodic evaluation (one immediate tick, then every
-// interval). Stop terminates it.
+// Start takes one sample before it returns — the baseline every window
+// measures traffic against — then evaluates every interval until Stop.
 func (e *Engine) Start() {
+	e.Tick()
 	go func() {
 		defer close(e.done)
-		e.Tick()
 		t := time.NewTicker(time.Duration(e.cfg.IntervalSeconds * float64(time.Second)))
 		defer t.Stop()
 		for {

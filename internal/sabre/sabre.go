@@ -149,36 +149,7 @@ func (r *router) routeOnce(c *circuit.Circuit, l2p []int) Result {
 	decay := make([]float64, cg.N)
 	swaps := 0
 	sinceReset := 0
-
-	for !front.Done() {
-		// Emit every executable frontier gate (1Q always; 2Q when adjacent).
-		progress := true
-		for progress {
-			progress = false
-			for _, gi := range append([]int(nil), front.Front()...) {
-				g := front.Gate(gi)
-				if !g.IsTwoQubit() {
-					out.Add1Q(g.Op, l2p[g.Q0], g.Param)
-					front.Execute(gi)
-					progress = true
-					continue
-				}
-				if cg.Adjacent(l2p[g.Q0], l2p[g.Q1]) {
-					out.Add2Q(g.Op, l2p[g.Q0], l2p[g.Q1], g.Param)
-					front.Execute(gi)
-					progress = true
-				}
-			}
-		}
-		if front.Done() {
-			break
-		}
-
-		// Stalled: pick the best SWAP among edges touching frontier qubits.
-		front2Q := frontTwoQubit(front)
-		ext := extendedSet(dag, front, r.opts.ExtendedSize)
-		a, b := r.pickSwap(l2p, front2Q, ext, decay)
-
+	swap := func(a, b int) {
 		if r.opts.KeepSwapsAtomic {
 			out.Add2Q(circuit.OpSWAP, a, b, 0)
 		} else {
@@ -205,7 +176,80 @@ func (r *router) routeOnce(c *circuit.Circuit, l2p []int) Result {
 			sinceReset = 0
 		}
 	}
+	// The heuristic can cycle, inserting SWAPs that never bring a front
+	// gate into reach. After stallLimit SWAPs without an executed gate, the
+	// release valve routes the closest front gate along a shortest path,
+	// which guarantees progress (Qiskit's SabreSwap has the same valve). It
+	// is deterministic and draws nothing from the tie-break RNG.
+	stallLimit := 10 * cg.N
+	stalled := 0
+
+	for !front.Done() {
+		// Emit every executable frontier gate (1Q always; 2Q when adjacent).
+		progress := true
+		for progress {
+			progress = false
+			for _, gi := range append([]int(nil), front.Front()...) {
+				g := front.Gate(gi)
+				if !g.IsTwoQubit() {
+					out.Add1Q(g.Op, l2p[g.Q0], g.Param)
+					front.Execute(gi)
+					progress = true
+					continue
+				}
+				if cg.Adjacent(l2p[g.Q0], l2p[g.Q1]) {
+					out.Add2Q(g.Op, l2p[g.Q0], l2p[g.Q1], g.Param)
+					front.Execute(gi)
+					progress = true
+				}
+			}
+			if progress {
+				stalled = 0
+			}
+		}
+		if front.Done() {
+			break
+		}
+
+		front2Q := frontTwoQubit(front)
+		if stalled >= stallLimit {
+			g := closestGate(cg, l2p, front2Q)
+			for a, b := l2p[g.Q0], l2p[g.Q1]; cg.Distance(a, b) > 1; {
+				next := stepToward(cg, a, b)
+				swap(a, next)
+				a = next
+			}
+			stalled = 0
+			continue
+		}
+		// Stalled: pick the best SWAP among edges touching frontier qubits.
+		ext := extendedSet(dag, front, r.opts.ExtendedSize)
+		swap(r.pickSwap(l2p, front2Q, ext, decay))
+		stalled++
+	}
 	return Result{Routed: out, FinalMapping: l2p, SwapCount: swaps}
+}
+
+// closestGate returns the first front gate whose endpoints are fewest hops
+// apart under the mapping.
+func closestGate(cg *graphs.Coupling, l2p []int, front []circuit.Gate) circuit.Gate {
+	best := front[0]
+	for _, g := range front[1:] {
+		if cg.Distance(l2p[g.Q0], l2p[g.Q1]) < cg.Distance(l2p[best.Q0], l2p[best.Q1]) {
+			best = g
+		}
+	}
+	return best
+}
+
+// stepToward returns the first neighbour of a one hop closer to b.
+func stepToward(cg *graphs.Coupling, a, b int) int {
+	for _, nb := range cg.Neighbors(a) {
+		if cg.Distance(nb, b) == cg.Distance(a, b)-1 {
+			return nb
+		}
+	}
+	panic("sabre: no shortest-path step (disconnected device?)")
 }
 
 // frontTwoQubit returns the two-qubit gates currently in the frontier.

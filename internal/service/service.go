@@ -211,8 +211,8 @@ type Request struct {
 	NoiseSeed int64 `json:"noiseSeed,omitempty"`
 	// Engine pins the trajectory simulation engine ("auto", "dense",
 	// "stab"; empty = auto). Auto dispatches Clifford circuits to the
-	// stabilizer engine — which lifts the dense width cap to
-	// noise.MaxStabQubits — and everything else to the dense
+	// stabilizer engine — which lifts the dense width cap to the far wider
+	// stabilizer cap (see noise.Dispatch) — and everything else to the dense
 	// state-vector.
 	Engine string `json:"engine,omitempty"`
 	// Sample switches the trajectory run from fidelity estimation to
@@ -652,60 +652,33 @@ func (e *Engine) resolve(req Request) (task, error) {
 	if req.NoiseScale < 0 || req.Noise1Q < 0 || req.Noise1Q > 1 || req.Noise2Q < 0 || req.Noise2Q > 1 {
 		return task{}, &RequestError{Msg: "noiseScale must be non-negative and noise1Q/noise2Q must be probabilities in [0,1]"}
 	}
-	if !noise.ValidEngine(req.Engine) {
-		return task{}, &RequestError{Msg: fmt.Sprintf("unknown engine %q (valid: %q, %q, %q, or empty for auto)",
-			req.Engine, noise.EngineAuto, noise.EngineDense, noise.EngineStab)}
-	}
 	if req.Shots == 0 && (req.NoiseSeed != 0 || req.NoiseScale != 0 || req.Noise1Q != 0 || req.Noise2Q != 0 || req.Engine != "") {
 		return task{}, &RequestError{Msg: "noise options (noiseSeed, noiseScale, noise1Q, noise2Q, engine) need shots > 0"}
-	}
-	if req.Sample && req.Shots == 0 {
-		return task{}, &RequestError{Msg: "sample needs shots > 0"}
 	}
 	if req.ShotOffset != 0 && !req.Sample {
 		return task{}, &RequestError{Msg: "shotOffset applies to sampling only (set sample=true or use POST /v1/sample)"}
 	}
-	if req.ShotOffset < 0 {
-		return task{}, &RequestError{Msg: "shotOffset must be non-negative"}
+	if req.Sample {
+		if err := noise.CheckShots(req.Shots, req.ShotOffset); err != nil {
+			return task{}, &RequestError{Msg: "sample: " + err.Error()}
+		}
 	}
-	if req.Sample && req.ShotOffset+int64(req.Shots) > noise.MaxShotIndex {
-		return task{}, &RequestError{Msg: fmt.Sprintf("shot range [%d, %d) exceeds the global shot-index cap %d",
-			req.ShotOffset, req.ShotOffset+int64(req.Shots), noise.MaxShotIndex)}
-	}
-	// A witness wider than the selected trajectory engine's register cap is
-	// guaranteed to fail after the compile — reject it up front instead of
-	// burning a worker on it. WitnessWidth accounts for declared ancilla
-	// overhead (Q-Pilot's flying ancillas). Clifford circuits reach the
-	// stabilizer engine (unless the request pins engine=dense), so they are
-	// capped at noise.MaxStabQubits instead of the dense wall; backends
-	// preserve Cliffordness, which the conformance suite enforces.
+	// A trajectory run the engine cannot take — an unknown engine,
+	// engine=stab on a non-Clifford circuit, a witness wider than the
+	// engine's cap — is guaranteed to fail after the compile, so reject it
+	// up front instead of burning a worker on it. WitnessWidth accounts for
+	// declared ancilla overhead (Q-Pilot's flying ancillas), and the source
+	// gates stand in for the witness's: backends preserve Cliffordness, which
+	// the conformance suite enforces. The engine option is normalised to the
+	// one that will actually run, so the cache keys on the resolved engine:
+	// "auto" (or empty) on a Clifford circuit and an explicit "stab" pin are
+	// the same computation and must share one cache entry — while "dense"
+	// and "stab" runs of the same circuit never alias.
 	engine := req.Engine
 	if req.Shots > 0 {
 		w := be.Capabilities().WitnessWidth(circ.N)
-		stabEligible := circ.IsClifford() && req.Engine != noise.EngineDense
-		if req.Engine == noise.EngineStab && !circ.IsClifford() {
-			return task{}, &RequestError{
-				Msg: fmt.Sprintf("engine %q needs a Clifford circuit; this circuit has non-Clifford gates (use engine=dense or auto)", noise.EngineStab)}
-		}
-		if stabEligible && w > noise.MaxStabQubits {
-			return task{}, &RequestError{
-				Msg: fmt.Sprintf("stabilizer simulation handles witnesses up to %d qubits; backend %q compiles this %d-qubit circuit to a %d-slot witness",
-					noise.MaxStabQubits, be.Name(), circ.N, w)}
-		}
-		if !stabEligible && w > noise.MaxQubits {
-			return task{}, &RequestError{
-				Msg: fmt.Sprintf("dense noisy simulation handles witnesses up to %d qubits; backend %q compiles this %d-qubit circuit to a %d-slot witness (Clifford circuits dispatch to the stabilizer engine, up to %d qubits)",
-					noise.MaxQubits, be.Name(), circ.N, w, noise.MaxStabQubits)}
-		}
-		// Normalise the engine option to the one that will actually run, so
-		// the cache keys on the resolved engine: "auto" (or empty) on a
-		// Clifford circuit and an explicit "stab" pin are the same
-		// computation and must share one cache entry — while "dense" and
-		// "stab" runs of the same circuit never alias.
-		if stabEligible {
-			engine = noise.EngineStab
-		} else {
-			engine = noise.EngineDense
+		if engine, err = noise.Dispatch(req.Engine, w, circ.Gates); err != nil {
+			return task{}, &RequestError{Msg: fmt.Sprintf("%v; backend %q compiles this %d-qubit circuit to a %d-slot witness", err, be.Name(), circ.N, w)}
 		}
 	}
 	opts := compiler.Options{Seed: req.Seed, SerialRouter: req.Serial, DenseMapper: req.Dense,
@@ -1175,8 +1148,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // run executes one job: skip if already cancelled, then compute through the
-// cache (coalescing with any in-flight identical computation). The busy
-// gauge and service-time accounting are released by defer, and a panic that
+// cache (coalescing with any in-flight identical computation). A panic that
 // escapes the backend-level recovery in execute (engine bookkeeping, not
 // backend code) still fails only this job — the worker survives.
 func (e *Engine) run(j *job) {
@@ -1194,19 +1166,29 @@ func (e *Engine) run(j *job) {
 	j.mu.Unlock()
 	e.tel.queueWait.ObserveExemplar(waited.Seconds(), j.trace.ID)
 	j.trace.Root.Record("queue.wait", j.submitted, waited)
+	defer func() {
+		if r := recover(); r != nil {
+			e.recordPanic("worker", r)
+			e.finish(j, &outcome{err: fmt.Errorf("service: worker panic: %v", r)}, false)
+		}
+	}()
+	out, cached := e.work(j)
+	e.finish(j, out, cached)
+}
+
+// work computes a job under the busy gauge. The gauge and the service-time
+// accounting are released on return — by defer, so on a panic too — which
+// is before run publishes the job: a waiter woken by finish never sees the
+// job still busy, and the admission model never reads a stale service time.
+func (e *Engine) work(j *job) (*outcome, bool) {
 	e.busy.Add(1)
 	start := time.Now()
 	defer func() {
 		e.busy.Add(-1)
 		e.busySeconds.Add(time.Since(start).Seconds())
 		e.executed.Add(1)
-		if r := recover(); r != nil {
-			e.recordPanic("worker", r)
-			e.finish(j, &outcome{err: fmt.Errorf("service: worker panic: %v", r)}, false)
-		}
 	}()
-	out, cached := e.compute(j.ctx, j.task)
-	e.finish(j, out, cached)
+	return e.compute(j.ctx, j.task)
 }
 
 // compute returns the outcome for a task, via the cache when possible. The
@@ -1379,7 +1361,6 @@ func (e *Engine) finish(j *job, out *outcome, cached bool) {
 	elapsed := j.finishedAt.Sub(j.submitted)
 	j.mu.Unlock()
 	j.cancel() // release the context resources
-	close(j.done)
 
 	// Close out the trace and publish the observability record: outcome
 	// counter, latency histogram (successes only — cancellations would skew
@@ -1432,6 +1413,9 @@ func (e *Engine) finish(j *job, out *outcome, cached bool) {
 		e.finished = e.finished[1:]
 	}
 	e.mu.Unlock()
+	// Wake the waiters last, so a caller that sees the job finished also
+	// sees its trace, outcome counter and latency sample.
+	close(j.done)
 }
 
 // snapshot renders a job's externally visible state.
