@@ -218,14 +218,6 @@ func main() {
 		}
 	}
 
-	if *budget < 0 {
-		fmt.Fprintln(os.Stderr, "atomique: -budget must be non-negative seconds")
-		os.Exit(1)
-	}
-	if *shots < 0 || *noiseScale < 0 {
-		fmt.Fprintln(os.Stderr, "atomique: -shots and -noisescale must be non-negative")
-		os.Exit(1)
-	}
 	noisyShots := *shots
 	if noisyShots == 0 && *noisy {
 		noisyShots = 2000
@@ -233,24 +225,16 @@ func main() {
 	if noisyShots == 0 && *sample {
 		noisyShots = 4096
 	}
-	if noisyShots == 0 && (*noiseSeed != 0 || *noiseScale != 0) {
-		fmt.Fprintln(os.Stderr, "atomique: -noiseseed/-noisescale need -noisy, -sample, or -shots")
-		os.Exit(1)
-	}
-	if *shotOffset != 0 && !*sample {
-		fmt.Fprintln(os.Stderr, "atomique: -shotoffset needs -sample")
-		os.Exit(1)
-	}
-	if *shotOffset < 0 {
-		fmt.Fprintln(os.Stderr, "atomique: -shotoffset must be non-negative")
-		os.Exit(1)
-	}
 	opts := compiler.Options{Seed: *seed, SerialRouter: *serial, DenseMapper: *dense,
 		Exact: *exact, BudgetSeconds: *budget,
 		NoisyShots: noisyShots, NoiseSeed: *noiseSeed, NoiseScale: *noiseScale,
 		SampleBits: *sample, ShotOffset: *shotOffset}
 	if err := opts.ApplyRelax(*relax); err != nil {
 		fmt.Fprintf(os.Stderr, "atomique: bad -relax flag: %v\n", err)
+		os.Exit(1)
+	}
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "atomique: bad options: %v\n", err)
 		os.Exit(1)
 	}
 

@@ -12,6 +12,7 @@ package compiler
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -179,6 +180,31 @@ func (o *Options) ApplyRelax(spec string) error {
 			return fmt.Errorf("compiler: duplicate relax constraint %q", id)
 		}
 		seen[which] = true
+	}
+	return nil
+}
+
+// Validate checks the option rules that hold for every backend and circuit;
+// the engine choice depends on both, so noise.Dispatch checks it. The error
+// texts name the compile service's request fields, since it returns them as
+// 400s.
+func (o Options) Validate() error {
+	switch {
+	case o.BudgetSeconds < 0:
+		return errors.New("budget must be non-negative seconds")
+	case o.NoisyShots < 0 || o.NoisyShots > MaxNoisyShots:
+		return fmt.Errorf("shots must be in 0..%d", MaxNoisyShots)
+	case o.NoiseScale < 0 || o.Noise1Q < 0 || o.Noise1Q > 1 || o.Noise2Q < 0 || o.Noise2Q > 1:
+		return errors.New("noiseScale must be non-negative and noise1Q/noise2Q must be probabilities in [0,1]")
+	case o.NoisyShots == 0 && (o.NoiseSeed != 0 || o.NoiseScale != 0 || o.Noise1Q != 0 || o.Noise2Q != 0 || o.Engine != ""):
+		return errors.New("noise options (noiseSeed, noiseScale, noise1Q, noise2Q, engine) need shots > 0")
+	case o.ShotOffset != 0 && !o.SampleBits:
+		return errors.New("shotOffset applies to sampling only")
+	}
+	if o.SampleBits {
+		if err := noise.CheckShots(o.NoisyShots, o.ShotOffset); err != nil {
+			return fmt.Errorf("sample: %w", err)
+		}
 	}
 	return nil
 }

@@ -212,6 +212,39 @@ func TestOptionsApplyRelax(t *testing.T) {
 	}
 }
 
+func TestOptionsValidate(t *testing.T) {
+	for name, o := range map[string]Options{
+		"zero":          {},
+		"budget":        {BudgetSeconds: 1.5},
+		"noisy":         {NoisyShots: 100, NoiseSeed: 3, NoiseScale: 2, Noise1Q: 0.01, Noise2Q: 1, Engine: "stab"},
+		"max shots":     {NoisyShots: MaxNoisyShots},
+		"sampled shard": {NoisyShots: 100, SampleBits: true, ShotOffset: 400},
+		"compile only":  {Seed: -1, Gamma: 0.9, Exact: true},
+	} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
+		}
+	}
+	for name, o := range map[string]Options{
+		"negative budget":    {BudgetSeconds: -1},
+		"negative shots":     {NoisyShots: -1},
+		"too many shots":     {NoisyShots: MaxNoisyShots + 1},
+		"negative scale":     {NoisyShots: 10, NoiseScale: -1},
+		"negative 1Q prob":   {NoisyShots: 10, Noise1Q: -0.1},
+		"2Q prob over 1":     {NoisyShots: 10, Noise2Q: 1.5},
+		"orphan noise seed":  {NoiseSeed: 3},
+		"orphan engine":      {Engine: "dense"},
+		"offset unsampled":   {NoisyShots: 10, ShotOffset: 5},
+		"sample no shots":    {SampleBits: true},
+		"negative offset":    {NoisyShots: 10, SampleBits: true, ShotOffset: -1},
+		"range past the cap": {NoisyShots: 10, SampleBits: true, ShotOffset: 1 << 40},
+	} {
+		if err := o.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // fakeBackend exercises the registry without touching real compilers.
 type fakeBackend struct{ name string }
 

@@ -8,8 +8,8 @@ import (
 	"atomique/internal/noise"
 )
 
-// MaxNoisyShots bounds a single trajectory run; the service rejects larger
-// requests at resolve time.
+// MaxNoisyShots bounds a single trajectory run; Options.Validate rejects
+// larger ones.
 const MaxNoisyShots = 1 << 20
 
 // AttachNoise runs the Monte-Carlo trajectory estimation for a completed
@@ -68,8 +68,8 @@ func noiseSetup(tgt Target, res *Result, opts Options) (noise.Model, noise.Witne
 	if opts.NoisyShots == 0 || res == nil || res.TimedOut {
 		return noise.Model{}, noise.Witness{}, nil
 	}
-	if opts.NoisyShots < 0 || opts.NoisyShots > MaxNoisyShots {
-		return noise.Model{}, noise.Witness{}, fmt.Errorf("compiler: noisy shots must be in 1..%d, got %d", MaxNoisyShots, opts.NoisyShots)
+	if err := opts.Validate(); err != nil {
+		return noise.Model{}, noise.Witness{}, fmt.Errorf("compiler: %w", err)
 	}
 	if res.Program == nil {
 		return noise.Model{}, noise.Witness{}, fmt.Errorf("compiler: backend %q produced no execution witness to simulate noisily", res.Backend)

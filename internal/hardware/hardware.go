@@ -135,17 +135,18 @@ func (c Config) Capacities() []int {
 	return caps
 }
 
-// Validate checks that the configuration is physically sensible.
+// Validate checks that the configuration is physically sensible and within
+// the size caps (maxArrayDim per axis, maxAODs arrays).
 func (c Config) Validate() error {
-	if c.SLM.Rows <= 0 || c.SLM.Cols <= 0 {
-		return fmt.Errorf("hardware: SLM spec %dx%d invalid", c.SLM.Rows, c.SLM.Cols)
+	if err := c.SLM.validate(); err != nil {
+		return fmt.Errorf("hardware: SLM %w", err)
 	}
-	if len(c.AODs) == 0 {
-		return fmt.Errorf("hardware: at least one AOD array required")
+	if err := CheckAODCount(len(c.AODs)); err != nil {
+		return err
 	}
 	for i, a := range c.AODs {
-		if a.Rows <= 0 || a.Cols <= 0 {
-			return fmt.Errorf("hardware: AOD %d spec %dx%d invalid", i, a.Rows, a.Cols)
+		if err := a.validate(); err != nil {
+			return fmt.Errorf("hardware: AOD %d %w", i, err)
 		}
 	}
 	p := c.Params
@@ -155,6 +156,30 @@ func (c Config) Validate() error {
 	}
 	if p.TimePerMove <= 0 {
 		return fmt.Errorf("hardware: TimePerMove must be positive")
+	}
+	return nil
+}
+
+// validate checks that both sides are in 1..maxArrayDim.
+func (a ArraySpec) validate() error {
+	switch {
+	case a.Rows <= 0 || a.Cols <= 0:
+		return fmt.Errorf("spec %dx%d invalid", a.Rows, a.Cols)
+	case a.Rows > maxArrayDim || a.Cols > maxArrayDim:
+		return fmt.Errorf("spec %dx%d exceeds the %d per-axis limit", a.Rows, a.Cols, maxArrayDim)
+	}
+	return nil
+}
+
+// CheckAODCount rejects an AOD-array count outside 1..maxAODs. Validate
+// applies it; a caller that builds the AOD list from untrusted input calls
+// it first, so the input cannot size the allocation.
+func CheckAODCount(n int) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("hardware: at least one AOD array required")
+	case n > maxAODs:
+		return fmt.Errorf("hardware: %d AOD arrays exceed the %d-array limit", n, maxAODs)
 	}
 	return nil
 }

@@ -70,11 +70,19 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{SLM: ArraySpec{0, 5}, AODs: []ArraySpec{{5, 5}}, Params: NeutralAtom()},
 		{SLM: ArraySpec{5, 5}, Params: NeutralAtom()},
 		{SLM: ArraySpec{5, 5}, AODs: []ArraySpec{{0, 5}}, Params: NeutralAtom()},
+		// Over the size caps.
+		{SLM: ArraySpec{maxArrayDim + 1, 5}, AODs: []ArraySpec{{5, 5}}, Params: NeutralAtom()},
+		{SLM: ArraySpec{5, 5}, AODs: []ArraySpec{{5, maxArrayDim + 1}}, Params: NeutralAtom()},
+		BuildConfig(5, maxAODs+1, 5, NeutralAtom()),
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %d validated unexpectedly", i)
 		}
+	}
+	// The largest machine the caps allow is valid.
+	if err := BuildConfig(maxArrayDim, maxAODs, maxArrayDim, NeutralAtom()).Validate(); err != nil {
+		t.Errorf("largest capped machine rejected: %v", err)
 	}
 	// Pitch below 6 r_b.
 	cfg := DefaultConfig()

@@ -50,6 +50,15 @@ const (
 // cannot overflow capacity arithmetic or drive absurd allocations.
 const maxZoneDim = 1 << 12
 
+// maxArrayDim and maxAODs bound FPQA machines (Config.Validate) for the same
+// reason: compile time and memory grow with the trap-site count, so an
+// unbounded override could stall a worker for minutes or exhaust memory.
+// The largest machine they allow has 17 arrays of 256x256 (1.11M sites).
+const (
+	maxArrayDim = 256
+	maxAODs     = 16
+)
+
 // DefaultZones returns the default zoned machine: a 10x10 storage grid and
 // ten entangling gate sites.
 func DefaultZones() ZoneGeometry {

@@ -170,8 +170,6 @@ func writeError(w http.ResponseWriter, err error) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: re.Msg, Line: re.Line})
 	case errors.As(err, &oe):
 		writeRetryable(w, http.StatusTooManyRequests, err.Error(), oe.RetryAfter)
-	case errors.Is(err, ErrQueueFull):
-		writeRetryable(w, http.StatusTooManyRequests, err.Error(), time.Second)
 	case errors.Is(err, ErrClosed):
 		writeRetryable(w, http.StatusServiceUnavailable, err.Error(), time.Second)
 	default:
@@ -201,6 +199,20 @@ func jobStatus(j *Job) int {
 	return http.StatusOK
 }
 
+// queryBool reads a boolean query parameter (absent = false); a value
+// strconv.ParseBool rejects is a *RequestError.
+func queryBool(r *http.Request, name string) (bool, error) {
+	v := r.URL.Query().Get(name)
+	if v == "" {
+		return false, nil
+	}
+	b, err := strconv.ParseBool(v)
+	if err != nil {
+		return false, &RequestError{Msg: fmt.Sprintf("bad %s value %q", name, v)}
+	}
+	return b, nil
+}
+
 func decodeRequest(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
@@ -223,22 +235,20 @@ func (e *Engine) handleCompile(w http.ResponseWriter, r *http.Request) {
 // serveCompile runs one decoded request through the synchronous compile
 // path, honouring ?async=1 — shared by /v1/compile and /v1/simulate.
 func (e *Engine) serveCompile(w http.ResponseWriter, r *http.Request, req Request) {
-	if v := r.URL.Query().Get("async"); v != "" {
-		async, err := strconv.ParseBool(v)
+	async, err := queryBool(r, "async")
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	if async {
+		jv, err := e.Submit(r.Context(), req)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad async value %q", v)})
+			writeError(w, err)
 			return
 		}
-		if async {
-			jv, err := e.Submit(r.Context(), req)
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			w.Header().Set(TraceHeader, jv.TraceID)
-			writeJSON(w, http.StatusAccepted, jv)
-			return
-		}
+		w.Header().Set(TraceHeader, jv.TraceID)
+		writeJSON(w, http.StatusAccepted, jv)
+		return
 	}
 	jv, err := e.Compile(r.Context(), req)
 	if err != nil {

@@ -85,7 +85,7 @@ func (e *Engine) AdmissionSample() admission.Snapshot {
 		Busy:             int(e.busy.Load()),
 		Live:             int(e.workersLive.Load()),
 		Target:           int(e.workersTarget.Load()),
-		Admitted:         e.submitted.Load(),
+		Admitted:         sum(e.tel.admissionDecisions, "", admissionAdmitted),
 		Executed:         e.executed.Load(),
 		BusySeconds:      e.busySeconds.Value(),
 	}
@@ -204,7 +204,6 @@ func (e *Engine) worker(quit chan struct{}) {
 // trips the flight recorder — the goroutine dump in the bundle shows what the
 // rest of the pool was doing when the worker blew up.
 func (e *Engine) recordPanic(where string, r any) {
-	e.panics.Add(1)
 	e.tel.panicsTotal.Inc()
 	e.tel.log.Error("recovered panic", "where", where, "panic", fmt.Sprint(r),
 		"stack", string(debug.Stack()))

@@ -39,32 +39,16 @@ func (e *Engine) handleSample(w http.ResponseWriter, r *http.Request) {
 	if req.Priority == "" {
 		req.Priority = PriorityBatch
 	}
-	stream := false
-	if v := r.URL.Query().Get("stream"); v != "" {
-		b, err := parseBoolParam("stream", v)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		stream = b
+	stream, err := queryBool(r, "stream")
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	if !stream {
 		e.serveCompile(w, r, req)
 		return
 	}
 	e.serveSampleStream(w, r, req)
-}
-
-// parseBoolParam parses a boolean query parameter into a RequestError on
-// failure, so writeError maps it to 400.
-func parseBoolParam(name, v string) (bool, error) {
-	switch v {
-	case "1", "t", "true", "T", "TRUE", "True":
-		return true, nil
-	case "0", "f", "false", "F", "FALSE", "False":
-		return false, nil
-	}
-	return false, &RequestError{Msg: "bad " + name + " value " + v}
 }
 
 // serveSampleStream runs one sampling job with a live NDJSON shot stream.

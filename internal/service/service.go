@@ -12,12 +12,9 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"runtime"
 	"strconv"
@@ -26,7 +23,6 @@ import (
 	"time"
 
 	"atomique/internal/admission"
-	"atomique/internal/bench"
 	"atomique/internal/circuit"
 	"atomique/internal/compiler"
 	"atomique/internal/hardware"
@@ -34,7 +30,6 @@ import (
 	"atomique/internal/noise"
 	"atomique/internal/obs"
 	"atomique/internal/obs/slo"
-	"atomique/internal/qasm"
 	"atomique/internal/report"
 
 	_ "atomique/internal/compiler/backends" // register the built-in backends
@@ -77,16 +72,6 @@ func (e *OverloadedError) Error() string {
 func (e *OverloadedError) Is(target error) bool {
 	return target == ErrOverloaded || (e.QueueFull && target == ErrQueueFull)
 }
-
-// RequestError marks a client-side request problem (unknown benchmark,
-// malformed QASM, bad options); the HTTP layer maps it to 400 Bad Request.
-type RequestError struct {
-	Msg string
-	// Line is the 1-based QASM source line for parse errors, 0 otherwise.
-	Line int
-}
-
-func (e *RequestError) Error() string { return e.Msg }
 
 // Config sizes the engine. The zero value gets sensible defaults.
 type Config struct {
@@ -175,74 +160,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Request is one compile order: either a named Table II benchmark or inline
-// OpenQASM 2.0 source, plus the backend to compile with (default "atomique";
-// see GET /v1/backends), compile options, and a device override. FPQA
-// backends accept a machine override (any of SLM/AODs/AODSize set builds a
-// custom machine; unset fields keep the paper's defaults); fixed-topology
-// backends accept a coupling family instead.
-type Request struct {
-	Benchmark string `json:"benchmark,omitempty"`
-	QASM      string `json:"qasm,omitempty"`
-
-	Backend string `json:"backend,omitempty"` // registered backend name
-
-	// Priority is the scheduling class: "interactive" (default) or
-	// "batch". Workers strictly prefer interactive jobs, and under load
-	// the admission controller sheds batch traffic first. The batch
-	// endpoint and the in-process experiments path default to "batch".
-	Priority string `json:"priority,omitempty"`
-
-	Seed   int64   `json:"seed,omitempty"`
-	Serial bool    `json:"serial,omitempty"` // ablation: serial router
-	Dense  bool    `json:"dense,omitempty"`  // ablation: round-robin mapper
-	Relax  string  `json:"relax,omitempty"`  // comma-separated constraint IDs (1,2,3)
-	Exact  bool    `json:"exact,omitempty"`  // solver backends: exact (exponential) mode
-	Budget float64 `json:"budget,omitempty"` // solver backends: compile budget in seconds (0 = backend default)
-
-	// Shots enables Monte-Carlo trajectory noise estimation (0 = off): the
-	// compiled program is replayed this many times under sampled noise and
-	// the empirical fidelity rides in the result envelope's "noise" field.
-	// POST /v1/simulate defaults it to DefaultSimulateShots. All noise
-	// options are part of the content-addressed cache key, so noisy and
-	// ideal results never alias.
-	Shots int `json:"shots,omitempty"`
-	// NoiseSeed seeds trajectory sampling, independently of Seed.
-	NoiseSeed int64 `json:"noiseSeed,omitempty"`
-	// Engine pins the trajectory simulation engine ("auto", "dense",
-	// "stab"; empty = auto). Auto dispatches Clifford circuits to the
-	// stabilizer engine — which lifts the dense width cap to the far wider
-	// stabilizer cap (see noise.Dispatch) — and everything else to the dense
-	// state-vector.
-	Engine string `json:"engine,omitempty"`
-	// Sample switches the trajectory run from fidelity estimation to
-	// measurement sampling (the /v1/sample product): each shot's
-	// computational-basis bitstring is recorded and the histogram rides in
-	// the envelope's "sample" field instead of a fidelity estimate in
-	// "noise". Needs shots > 0.
-	Sample bool `json:"sample,omitempty"`
-	// ShotOffset is the global index of the first sampled shot (sampling
-	// only). Per-shot randomness derives from (noiseSeed, global index), so
-	// disjoint shot ranges from separate requests tile into one histogram —
-	// sharded, resumable sampling. Each range is its own cache entry.
-	ShotOffset int64 `json:"shotOffset,omitempty"`
-	// NoiseScale multiplies every noise-channel probability (0 = 1.0).
-	NoiseScale float64 `json:"noiseScale,omitempty"`
-	// Noise1Q / Noise2Q override the hardware-derived per-gate error
-	// probabilities when positive.
-	Noise1Q float64 `json:"noise1Q,omitempty"`
-	Noise2Q float64 `json:"noise2Q,omitempty"`
-
-	SLM     int    `json:"slm,omitempty"`     // SLM side length (FPQA backends)
-	AODs    int    `json:"aods,omitempty"`    // number of AOD arrays (FPQA backends)
-	AODSize int    `json:"aodSize,omitempty"` // AOD side length (FPQA backends)
-	Family  string `json:"family,omitempty"`  // coupling family (fixed-topology backends)
-	// Zones overrides the zone geometry (and optionally the physical
-	// parameters) for zoned backends; unset selects the backend's default
-	// machine grown to fit the circuit.
-	Zones *compiler.ZonedSpec `json:"zones,omitempty"`
-}
-
 // State is a job's lifecycle phase.
 type State string
 
@@ -314,78 +231,6 @@ type job struct {
 	tracedJSON []byte
 }
 
-// Stats is the /v1/stats payload: queue, worker, cache, and per-pass
-// pipeline counters.
-type Stats struct {
-	Workers       int `json:"workers"` // live workers (including draining retirees)
-	WorkersBusy   int `json:"workersBusy"`
-	WorkersTarget int `json:"workersTarget"` // adaptive-pool target
-	WorkersMin    int `json:"workersMin"`
-	WorkersMax    int `json:"workersMax"`
-	QueueCapacity int `json:"queueCapacity"` // per priority class
-	QueueDepth    int `json:"queueDepth"`    // both classes combined
-	// QueueDepthInteractive/Batch split QueueDepth by priority class.
-	QueueDepthInteractive int    `json:"queueDepthInteractive"`
-	QueueDepthBatch       int    `json:"queueDepthBatch"`
-	Submitted             uint64 `json:"submitted"`
-	Completed             uint64 `json:"completed"`
-	Failed                uint64 `json:"failed"`
-	Cancelled             uint64 `json:"cancelled"`
-	Rejected              uint64 `json:"rejected"`
-	// Panics counts backend panics recovered by workers (the jobs failed;
-	// the workers survived).
-	Panics        uint64  `json:"panics"`
-	CacheHits     uint64  `json:"cacheHits"`
-	CacheMisses   uint64  `json:"cacheMisses"`
-	CacheEntries  int     `json:"cacheEntries"`
-	UptimeSeconds float64 `json:"uptimeSeconds"`
-	// Admission reports the control loop's latest model fit and shed state;
-	// nil when admission control is disabled.
-	Admission *AdmissionStats `json:"admission,omitempty"`
-	// PassSeconds is the cumulative wall time each compile-pipeline pass
-	// consumed across every non-cached compilation this engine executed,
-	// keyed by pass name; PassRuns counts those executions. Together they
-	// show where compile time goes fleet-wide (avg = seconds/runs).
-	PassSeconds map[string]float64 `json:"passSeconds,omitempty"`
-	PassRuns    uint64             `json:"passRuns,omitempty"`
-	// Latencies summarises end-to-end job latency per "backend/class"
-	// (e.g. "atomique/compile"): count, sum, and p50/p90/p99 estimated from
-	// the same log-bucketed histograms GET /metrics exposes.
-	Latencies map[string]obs.Quantiles `json:"latencies,omitempty"`
-	// Traces reports the tiered trace ring: adds, pins, sampling drops, and
-	// per-segment evictions.
-	Traces obs.TraceStoreStats `json:"traces"`
-	// SLO is every objective's burn-rate evaluation (the GET /v1/slo
-	// payload) and SLOWorst the most severe state across them.
-	SLO      []slo.ObjectiveStatus `json:"slo,omitempty"`
-	SLOWorst string                `json:"sloWorst,omitempty"`
-	// Bundles counts diagnostic bundles held by the flight recorder; -1
-	// when the recorder is disabled.
-	Bundles int `json:"bundles"`
-}
-
-// AdmissionStats is the /v1/stats view of the admission controller: the
-// fitted saturation model and the current gate state.
-type AdmissionStats struct {
-	ArrivalRatePerSecond float64 `json:"arrivalRatePerSecond"`
-	ServiceSecondsPerJob float64 `json:"serviceSecondsPerJob"`
-	Utilization          float64 `json:"utilization"`
-	// PredictedInteractiveWaitSeconds/PredictedBatchWaitSeconds are the
-	// queue waits a new submission of each class would see.
-	PredictedInteractiveWaitSeconds float64 `json:"predictedInteractiveWaitSeconds"`
-	PredictedBatchWaitSeconds       float64 `json:"predictedBatchWaitSeconds"`
-	// Saturation is predicted batch wait over the queue-wait objective
-	// (>1 means batch traffic is shedding).
-	Saturation      float64 `json:"saturation"`
-	ShedInteractive bool    `json:"shedInteractive"`
-	ShedBatch       bool    `json:"shedBatch"`
-	// ShedInteractiveTotal/ShedBatchTotal count admission sheds per class
-	// since engine start (queue-full rejections are counted separately
-	// under "rejected").
-	ShedInteractiveTotal uint64 `json:"shedInteractiveTotal"`
-	ShedBatchTotal       uint64 `json:"shedBatchTotal"`
-}
-
 // compileFunc is the engine's compilation seam; tests substitute it to
 // exercise queueing and cancellation without real compilations.
 type compileFunc func(ctx context.Context, b compiler.Backend, tgt compiler.Target, circ *circuit.Circuit, opts compiler.Options) (*compiler.Result, error)
@@ -421,8 +266,6 @@ type Engine struct {
 	// admission controller's saturation model fits.
 	busySeconds obs.Counter
 	executed    atomic.Uint64
-	// panics counts recovered backend panics (atomique_panics_total).
-	panics atomic.Uint64
 
 	// poolMu guards quits, the adaptive pool's per-worker retirement
 	// channels; closing one retires that worker after its current job.
@@ -439,8 +282,6 @@ type Engine struct {
 	// recorder behind GET /v1/debug/bundles (nil when Bundles.Dir is unset).
 	slo      *slo.Engine
 	recorder *obs.Recorder
-	// shedByClass counts admission sheds per priority class.
-	shedByClass [2]atomic.Uint64
 
 	// benchInfos is the /v1/benchmarks payload, computed once at engine
 	// construction (the registry is immutable after init).
@@ -459,25 +300,16 @@ type Engine struct {
 	closeMu  sync.RWMutex
 	inFlight sync.WaitGroup
 
-	submitted, completed, failed, cancelled, rejected atomic.Uint64
-	hits, misses                                      atomic.Uint64
-
-	// passMu guards the per-pass instrumentation aggregated from every
-	// executed (non-cached) compilation's metrics.Passes.
-	passMu      sync.Mutex
-	passSeconds map[string]float64
-	passRuns    uint64
-
 	mu       sync.Mutex
 	jobs     map[string]*job
 	finished []string // FIFO of finished job IDs, for pruning
 
-	// fpMemo caches circuit fingerprints for CompileMetrics, keyed by
-	// circuit pointer: in-process callers (the experiments batch path)
-	// resubmit the same few circuit objects thousands of times, and those
-	// circuits must be treated as immutable once submitted. Bounded (LRU)
-	// so long-running callers streaming fresh circuits cannot grow it
-	// without limit.
+	// fpMemo caches circuit fingerprints keyed by circuit pointer, for
+	// named benchmarks (shared registry circuits) and CompileMetrics:
+	// in-process callers (the experiments batch path) resubmit the same few
+	// circuit objects thousands of times, and those circuits must be
+	// treated as immutable once submitted. Bounded (LRU) so long-running
+	// callers streaming fresh circuits cannot grow it without limit.
 	fpMemo fpMemo
 }
 
@@ -490,14 +322,13 @@ func newEngine(cfg Config, fn compileFunc) *Engine {
 	cfg = cfg.withDefaults()
 	ctx, stop := context.WithCancel(context.Background())
 	e := &Engine{
-		cfg:         cfg,
-		cache:       newLRUCache(cfg.CacheSize),
-		compile:     fn,
-		ctx:         ctx,
-		stop:        stop,
-		start:       time.Now(),
-		jobs:        make(map[string]*job),
-		passSeconds: make(map[string]float64),
+		cfg:     cfg,
+		cache:   newLRUCache(cfg.CacheSize),
+		compile: fn,
+		ctx:     ctx,
+		stop:    stop,
+		start:   time.Now(),
+		jobs:    make(map[string]*job),
 	}
 	for i := range e.queues {
 		e.queues[i] = make(chan *job, cfg.QueueSize)
@@ -579,251 +410,6 @@ func (e *Engine) Close() {
 	}
 }
 
-// benchFingerprints memoises circuit fingerprints for the immutable registry
-// benchmarks, keyed by canonical name; hashing tens of thousands of gates per
-// request would weigh on the same hot path the registry cache optimises.
-var benchFingerprints sync.Map
-
-// resolve turns a Request into a runnable task, reporting client errors as
-// *RequestError.
-func (e *Engine) resolve(req Request) (task, error) {
-	var circ *circuit.Circuit
-	var hash string
-	label := req.Benchmark
-	switch {
-	case req.Benchmark != "" && req.QASM != "":
-		return task{}, &RequestError{Msg: "request must set either benchmark or qasm, not both"}
-	case req.Benchmark != "":
-		b, ok := bench.ByName(req.Benchmark)
-		if !ok {
-			return task{}, &RequestError{Msg: fmt.Sprintf("unknown benchmark %q (see GET /v1/benchmarks)", req.Benchmark)}
-		}
-		circ = b.Circ
-		label = b.Name
-		if fp, ok := benchFingerprints.Load(b.Name); ok {
-			hash = fp.(string)
-		} else {
-			hash = circ.Fingerprint()
-			benchFingerprints.Store(b.Name, hash)
-		}
-	case req.QASM != "":
-		parsed, err := qasm.ParseString(req.QASM)
-		if err != nil {
-			re := &RequestError{Msg: err.Error()}
-			var pe *qasm.ParseError
-			if errors.As(err, &pe) {
-				re.Line = pe.Line
-			}
-			return task{}, re
-		}
-		circ = parsed
-		label = "qasm"
-		hash = circ.Fingerprint()
-	default:
-		return task{}, &RequestError{Msg: "request must set benchmark or qasm"}
-	}
-
-	backendName := req.Backend
-	if backendName == "" {
-		backendName = DefaultBackend
-	}
-	be, ok := compiler.Lookup(backendName)
-	if !ok {
-		return task{}, &RequestError{Msg: fmt.Sprintf("unknown backend %q (see GET /v1/backends; registered: %v)",
-			backendName, compiler.Names())}
-	}
-
-	prio, err := parsePriority(req.Priority)
-	if err != nil {
-		return task{}, err
-	}
-
-	tgt, err := e.resolveTarget(be, req, circ)
-	if err != nil {
-		return task{}, err
-	}
-
-	if req.Budget < 0 {
-		return task{}, &RequestError{Msg: "budget must be non-negative seconds"}
-	}
-	if req.Shots < 0 || req.Shots > compiler.MaxNoisyShots {
-		return task{}, &RequestError{Msg: fmt.Sprintf("shots must be in 0..%d", compiler.MaxNoisyShots)}
-	}
-	if req.NoiseScale < 0 || req.Noise1Q < 0 || req.Noise1Q > 1 || req.Noise2Q < 0 || req.Noise2Q > 1 {
-		return task{}, &RequestError{Msg: "noiseScale must be non-negative and noise1Q/noise2Q must be probabilities in [0,1]"}
-	}
-	if req.Shots == 0 && (req.NoiseSeed != 0 || req.NoiseScale != 0 || req.Noise1Q != 0 || req.Noise2Q != 0 || req.Engine != "") {
-		return task{}, &RequestError{Msg: "noise options (noiseSeed, noiseScale, noise1Q, noise2Q, engine) need shots > 0"}
-	}
-	if req.ShotOffset != 0 && !req.Sample {
-		return task{}, &RequestError{Msg: "shotOffset applies to sampling only (set sample=true or use POST /v1/sample)"}
-	}
-	if req.Sample {
-		if err := noise.CheckShots(req.Shots, req.ShotOffset); err != nil {
-			return task{}, &RequestError{Msg: "sample: " + err.Error()}
-		}
-	}
-	// A trajectory run the engine cannot take — an unknown engine,
-	// engine=stab on a non-Clifford circuit, a witness wider than the
-	// engine's cap — is guaranteed to fail after the compile, so reject it
-	// up front instead of burning a worker on it. WitnessWidth accounts for
-	// declared ancilla overhead (Q-Pilot's flying ancillas), and the source
-	// gates stand in for the witness's: backends preserve Cliffordness, which
-	// the conformance suite enforces. The engine option is normalised to the
-	// one that will actually run, so the cache keys on the resolved engine:
-	// "auto" (or empty) on a Clifford circuit and an explicit "stab" pin are
-	// the same computation and must share one cache entry — while "dense"
-	// and "stab" runs of the same circuit never alias.
-	engine := req.Engine
-	if req.Shots > 0 {
-		w := be.Capabilities().WitnessWidth(circ.N)
-		if engine, err = noise.Dispatch(req.Engine, w, circ.Gates); err != nil {
-			return task{}, &RequestError{Msg: fmt.Sprintf("%v; backend %q compiles this %d-qubit circuit to a %d-slot witness", err, be.Name(), circ.N, w)}
-		}
-	}
-	opts := compiler.Options{Seed: req.Seed, SerialRouter: req.Serial, DenseMapper: req.Dense,
-		Exact: req.Exact, BudgetSeconds: req.Budget,
-		NoisyShots: req.Shots, NoiseSeed: req.NoiseSeed, NoiseScale: req.NoiseScale,
-		Noise1Q: req.Noise1Q, Noise2Q: req.Noise2Q, Engine: engine,
-		SampleBits: req.Sample, ShotOffset: req.ShotOffset}
-	if err := opts.ApplyRelax(req.Relax); err != nil {
-		return task{}, &RequestError{Msg: err.Error()}
-	}
-	// Options outside the backend's declared capabilities (exact/budget on a
-	// non-solver backend) are a client error, caught here rather than as a
-	// failed job.
-	if err := compiler.CheckSupport(be.Name(), be.Capabilities(), tgt, opts); err != nil {
-		return task{}, &RequestError{Msg: err.Error()}
-	}
-
-	return task{
-		label:   label,
-		hash:    hash,
-		key:     cacheKey(be.Name(), hash, tgt, opts),
-		class:   classOf(opts),
-		prio:    prio,
-		backend: be,
-		target:  tgt,
-		circ:    circ,
-		opts:    opts,
-	}, nil
-}
-
-// resolveTarget builds the device description a request compiles against:
-// FPQA backends get the engine's default machine with any per-request
-// override applied; fixed-topology backends get the requested coupling
-// family (or their own default). Options that do not apply to the selected
-// backend's target kind are rejected, not silently ignored.
-func (e *Engine) resolveTarget(be compiler.Backend, req Request, circ *circuit.Circuit) (compiler.Target, error) {
-	caps := be.Capabilities()
-	hasMachine := req.SLM != 0 || req.AODs != 0 || req.AODSize != 0
-	if req.Zones != nil && !caps.Zoned {
-		return compiler.Target{}, &RequestError{
-			Msg: fmt.Sprintf("backend %q does not compile zoned machines; zones applies only to zoned backends", be.Name())}
-	}
-	switch {
-	case caps.Zoned:
-		if hasMachine || req.Family != "" {
-			return compiler.Target{}, &RequestError{
-				Msg: fmt.Sprintf("backend %q compiles zoned machines; use zones instead of slm/aods/aodSize/family", be.Name())}
-		}
-		if req.Zones == nil {
-			return compiler.Target{}, nil // backend's default zones, grown to fit
-		}
-		tgt := compiler.Target{Kind: compiler.KindZoned, Zoned: req.Zones}
-		if err := tgt.Validate(); err != nil {
-			return compiler.Target{}, &RequestError{Msg: err.Error()}
-		}
-		if circ.N > req.Zones.Geometry.StorageCapacity() {
-			return compiler.Target{}, &RequestError{
-				Msg: fmt.Sprintf("circuit needs %d qubits, storage zone has %d sites",
-					circ.N, req.Zones.Geometry.StorageCapacity())}
-		}
-		return tgt, nil
-	case caps.FPQA:
-		if req.Family != "" {
-			return compiler.Target{}, &RequestError{
-				Msg: fmt.Sprintf("backend %q compiles FPQA machines; family applies only to fixed-topology backends", be.Name())}
-		}
-		cfg := e.cfg.Hardware
-		if req.SLM < 0 || req.AODs < 0 || req.AODSize < 0 {
-			// Zero means "keep the engine default", so only negatives are out.
-			return compiler.Target{}, &RequestError{Msg: "machine override values (slm, aods, aodSize) must be non-negative"}
-		}
-		if hasMachine {
-			// Partial overrides keep the engine default for unset dimensions
-			// (including a non-square configured SLM); overriding aodSize makes
-			// the AOD arrays homogeneous at that size.
-			slmSpec := cfg.SLM
-			if req.SLM > 0 {
-				slmSpec = hardware.ArraySpec{Rows: req.SLM, Cols: req.SLM}
-			}
-			var aodSpec hardware.ArraySpec
-			if len(cfg.AODs) > 0 {
-				aodSpec = cfg.AODs[0]
-			}
-			if req.AODSize > 0 {
-				aodSpec = hardware.ArraySpec{Rows: req.AODSize, Cols: req.AODSize}
-			}
-			aods := len(cfg.AODs)
-			if req.AODs > 0 {
-				aods = req.AODs
-			}
-			cfg = hardware.Config{SLM: slmSpec, Params: cfg.Params}
-			for i := 0; i < aods; i++ {
-				cfg.AODs = append(cfg.AODs, aodSpec)
-			}
-		}
-		if err := cfg.Validate(); err != nil {
-			return compiler.Target{}, &RequestError{Msg: err.Error()}
-		}
-		// Site capacity only bounds backends that place circuit qubits onto
-		// the machine's trap sites (routing backends). Q-Pilot-style
-		// backends take the target solely as a parameter source and lay out
-		// their own geometry, so the comparison would be wrong for them.
-		if caps.Routes && circ.N > cfg.Capacity() {
-			return compiler.Target{}, &RequestError{
-				Msg: fmt.Sprintf("circuit needs %d qubits, machine has %d sites", circ.N, cfg.Capacity()),
-			}
-		}
-		return compiler.FPQA(cfg), nil
-	case caps.Coupling:
-		if hasMachine {
-			return compiler.Target{}, &RequestError{
-				Msg: fmt.Sprintf("backend %q compiles fixed topologies; slm/aods/aodSize apply only to FPQA backends", be.Name())}
-		}
-		if req.Family == "" {
-			return compiler.Target{}, nil // backend's canonical device
-		}
-		tgt := compiler.Coupling(req.Family, 0)
-		if err := tgt.Validate(); err != nil {
-			return compiler.Target{}, &RequestError{Msg: err.Error()}
-		}
-		return tgt, nil
-	default:
-		return compiler.Target{}, &RequestError{Msg: fmt.Sprintf("backend %q declares no supported target kind", be.Name())}
-	}
-}
-
-// cacheKey derives the content-addressed key: backend name and circuit
-// fingerprint plus the canonical JSON of the target and compile options
-// (which include the seed). Deterministic struct-field order makes the key
-// stable; the backend name guarantees two backends never alias an entry.
-func cacheKey(backend, fingerprint string, tgt compiler.Target, opts compiler.Options) string {
-	h := sha256.New()
-	io.WriteString(h, backend)
-	io.WriteString(h, "\x00")
-	io.WriteString(h, fingerprint)
-	enc := json.NewEncoder(h)
-	if err := enc.Encode(tgt); err != nil {
-		panic(fmt.Sprintf("service: encode target: %v", err))
-	}
-	if err := enc.Encode(opts); err != nil {
-		panic(fmt.Sprintf("service: encode options: %v", err))
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // newJob registers a queued job for a resolved task. callerCtx may carry a
 // client-chosen trace ID (X-Trace-Id, validated by the HTTP layer); otherwise
 // one is minted. The job's own context carries the trace root span, so every
@@ -884,8 +470,6 @@ func (e *Engine) submitResolved(ctx context.Context, t task) (*job, error) {
 	// reserved segment — shed storms are exactly the traffic a diagnostic
 	// bundle needs to show, and a storm of successes must not evict them.
 	if dec := e.admit(t.prio); !dec.Admit {
-		e.rejected.Add(1)
-		e.shedByClass[t.prio].Add(1)
 		e.tel.admissionDecisions.With(t.prio.String(), admissionShed).Inc()
 		e.tel.requests.With(backendLabel(t), t.class, outcomeRejected).Inc()
 		tr := obs.NewTrace(obs.TraceIDFromContext(ctx), "shed")
@@ -906,12 +490,10 @@ func (e *Engine) submitResolved(ctx context.Context, t task) (*job, error) {
 	j := e.newJob(ctx, t)
 	select {
 	case e.queues[t.prio] <- j:
-		e.submitted.Add(1)
 		e.tel.admissionDecisions.With(t.prio.String(), admissionAdmitted).Inc()
 		e.logJob(j, "job queued")
 		return j, nil
 	default:
-		e.rejected.Add(1)
 		e.tel.admissionDecisions.With(t.prio.String(), admissionQueueFull).Inc()
 		e.tel.requests.With(backendLabel(t), t.class, outcomeRejected).Inc()
 		e.tel.log.Warn("job rejected: queue full",
@@ -952,7 +534,6 @@ func (e *Engine) submitBlocking(ctx context.Context, t task) (*job, error) {
 	j := e.newJob(ctx, t)
 	select {
 	case e.queues[t.prio] <- j:
-		e.submitted.Add(1)
 		e.tel.admissionDecisions.With(t.prio.String(), admissionAdmitted).Inc()
 		e.logJob(j, "job queued")
 		return j, nil
@@ -1083,70 +664,6 @@ func (e *Engine) Cancel(id string) (bool, error) {
 	return true, nil
 }
 
-// Stats returns a consistent snapshot of the engine counters.
-func (e *Engine) Stats() Stats {
-	e.passMu.Lock()
-	passSeconds := make(map[string]float64, len(e.passSeconds))
-	for k, v := range e.passSeconds {
-		passSeconds[k] = v
-	}
-	passRuns := e.passRuns
-	e.passMu.Unlock()
-	latencies := make(map[string]obs.Quantiles)
-	e.tel.latency.Each(func(labels []string, h *obs.Histogram) {
-		latencies[labels[0]+"/"+labels[1]] = h.Quantiles()
-	})
-	st := Stats{
-		PassSeconds:           passSeconds,
-		PassRuns:              passRuns,
-		Latencies:             latencies,
-		Workers:               int(e.workersLive.Load()),
-		WorkersBusy:           int(e.busy.Load()),
-		WorkersTarget:         int(e.workersTarget.Load()),
-		WorkersMin:            e.cfg.WorkersMin,
-		WorkersMax:            e.cfg.WorkersMax,
-		QueueCapacity:         e.cfg.QueueSize,
-		QueueDepthInteractive: len(e.queues[admission.Interactive]),
-		QueueDepthBatch:       len(e.queues[admission.Batch]),
-		Submitted:             e.submitted.Load(),
-		Completed:             e.completed.Load(),
-		Failed:                e.failed.Load(),
-		Cancelled:             e.cancelled.Load(),
-		Rejected:              e.rejected.Load(),
-		Panics:                e.panics.Load(),
-		CacheHits:             e.hits.Load(),
-		CacheMisses:           e.misses.Load(),
-		CacheEntries:          e.cache.len(),
-		UptimeSeconds:         time.Since(e.start).Seconds(),
-		Traces:                e.tel.traces.Stats(),
-		Bundles:               -1,
-	}
-	st.QueueDepth = st.QueueDepthInteractive + st.QueueDepthBatch
-	if e.slo != nil {
-		st.SLO = e.slo.Status()
-		st.SLOWorst = e.slo.WorstState().String()
-	}
-	if e.recorder != nil {
-		st.Bundles = len(e.recorder.List())
-	}
-	if e.ctrl != nil {
-		t := e.ctrl.Last()
-		st.Admission = &AdmissionStats{
-			ArrivalRatePerSecond:            t.Lambda,
-			ServiceSecondsPerJob:            t.ServiceSeconds,
-			Utilization:                     t.Utilization,
-			PredictedInteractiveWaitSeconds: t.InteractiveWait.Seconds(),
-			PredictedBatchWaitSeconds:       t.BatchWait.Seconds(),
-			Saturation:                      t.Saturation,
-			ShedInteractive:                 t.ShedInteractive,
-			ShedBatch:                       t.ShedBatch,
-			ShedInteractiveTotal:            e.shedByClass[admission.Interactive].Load(),
-			ShedBatchTotal:                  e.shedByClass[admission.Batch].Load(),
-		}
-	}
-	return st
-}
-
 // run executes one job: skip if already cancelled, then compute through the
 // cache (coalescing with any in-flight identical computation). A panic that
 // escapes the backend-level recovery in execute (engine bookkeeping, not
@@ -1208,7 +725,6 @@ func (e *Engine) compute(ctx context.Context, t task) (*outcome, bool) {
 		lookupStart := time.Now()
 		ent, hit := e.cache.getOrReserve(t.key)
 		if !hit {
-			e.misses.Add(1)
 			e.tel.cacheEvents.With(cacheMiss).Inc()
 			if c := sp.Record("cache.lookup", lookupStart, time.Since(lookupStart)); c != nil {
 				c.SetAttr("outcome", cacheMiss)
@@ -1245,7 +761,6 @@ func (e *Engine) compute(ctx context.Context, t task) (*outcome, bool) {
 			if out.err != nil && (errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded)) && ctx.Err() == nil {
 				continue // the owner was cancelled, not us: take over
 			}
-			e.hits.Add(1)
 			e.tel.cacheEvents.With(cacheHit).Inc()
 			return out, true
 		case <-ctx.Done():
@@ -1321,12 +836,7 @@ func (e *Engine) recordPasses(passes []metrics.PassTiming) {
 	if len(passes) == 0 {
 		return
 	}
-	e.passMu.Lock()
-	e.passRuns++
-	for _, p := range passes {
-		e.passSeconds[p.Name] += p.Seconds
-	}
-	e.passMu.Unlock()
+	e.tel.passRuns.Inc()
 	for _, p := range passes {
 		e.tel.passSeconds.With(p.Name).Add(p.Seconds)
 		e.tel.passLatency.With(p.Name).Observe(p.Seconds)
@@ -1343,17 +853,19 @@ func (e *Engine) finish(j *job, out *outcome, cached bool) {
 		return
 	}
 	j.finalized = true
+	// The outcome is counted as the state turns terminal, so a job seen
+	// finished through JobByID is already in Stats.
+	outcomeLabel := outcomeDone
 	switch {
 	case out.err == nil:
 		j.state = StateDone
-		e.completed.Add(1)
 	case errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded):
-		j.state = StateCancelled
-		e.cancelled.Add(1)
+		j.state, outcomeLabel = StateCancelled, outcomeCancelled
 	default:
-		j.state = StateFailed
-		e.failed.Add(1)
+		j.state, outcomeLabel = StateFailed, outcomeFailed
 	}
+	backend := backendLabel(j.task)
+	e.tel.requests.With(backend, j.task.class, outcomeLabel).Inc()
 	j.out = out
 	j.cached = cached
 	j.finishedAt = time.Now()
@@ -1362,21 +874,13 @@ func (e *Engine) finish(j *job, out *outcome, cached bool) {
 	j.mu.Unlock()
 	j.cancel() // release the context resources
 
-	// Close out the trace and publish the observability record: outcome
-	// counter, latency histogram (successes only — cancellations would skew
-	// the percentiles the autoscaler feeds on, carrying this job's trace ID
-	// as an OpenMetrics exemplar), trace ring, log line. Retention is
-	// tiered: failures and slow-tail successes (over the class's current
-	// p99, once the histogram has enough mass to trust it) pin into the
-	// ring's reserved segment; ordinary successes take the sampling coin.
-	outcomeLabel := outcomeDone
-	switch state {
-	case StateFailed:
-		outcomeLabel = outcomeFailed
-	case StateCancelled:
-		outcomeLabel = outcomeCancelled
-	}
-	backend := backendLabel(j.task)
+	// Close out the trace and publish the observability record: latency
+	// histogram (successes only — cancellations would skew the percentiles
+	// the autoscaler feeds on, carrying this job's trace ID as an
+	// OpenMetrics exemplar), trace ring, log line. Retention is tiered:
+	// failures and slow-tail successes (over the class's current p99, once
+	// the histogram has enough mass to trust it) pin into the ring's
+	// reserved segment; ordinary successes take the sampling coin.
 	pin := state == StateFailed
 	if state == StateDone {
 		// Snapshot before observing so the job is not compared to a p99 that
@@ -1397,7 +901,6 @@ func (e *Engine) finish(j *job, out *outcome, cached bool) {
 	} else {
 		e.tel.traces.Add(j.trace)
 	}
-	e.tel.requests.With(backend, j.task.class, outcomeLabel).Inc()
 	if out.err != nil {
 		e.logJob(j, "job finished", "state", state, "seconds", elapsed.Seconds(),
 			"cached", cached, "error", out.err.Error())

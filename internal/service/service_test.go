@@ -137,6 +137,11 @@ func TestResolveErrors(t *testing.T) {
 		{"too many qubits", Request{Benchmark: "QAOA-regu6-100", SLM: 4, AODs: 2, AODSize: 4}},
 		{"negative override", Request{Benchmark: "H2-4", AODs: -1}},
 		{"bad qasm", Request{QASM: "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];"}},
+		// Machine overrides past the hardware caps (256 per axis, 16 AODs).
+		{"huge aod side", Request{Benchmark: "H2-4", AODSize: 4000}},
+		{"huge aod count", Request{Benchmark: "H2-4", AODs: 16777216}},
+		{"many aods", Request{Benchmark: "H2-4", AODs: 100000}},
+		{"huge slm side", Request{Benchmark: "H2-4", SLM: 4000}},
 	}
 	for _, tc := range cases {
 		_, err := e.Submit(context.Background(), tc.req)

@@ -65,10 +65,12 @@ type telemetry struct {
 	queueWait *obs.Histogram
 	// cacheEvents counts hit/miss/coalesce on the result cache.
 	cacheEvents *obs.CounterVec
-	// passSeconds accumulates per-pass compile seconds (the /v1/stats
-	// PassSeconds map, as a scrapeable counter); passLatency is the same
-	// signal as a histogram for per-pass percentiles.
+	// passSeconds accumulates per-pass compile seconds and passRuns counts
+	// the compilations that reported them (the /v1/stats PassSeconds and
+	// PassRuns); passLatency is the same signal as a histogram for per-pass
+	// percentiles.
 	passSeconds *obs.CounterVec
+	passRuns    *obs.Counter
 	passLatency *obs.HistogramVec
 	// shots counts trajectory shots executed (throughput via rate()).
 	shots *obs.Counter
@@ -109,6 +111,8 @@ func newTelemetry(e *Engine, logger *slog.Logger, traceBuffer int) *telemetry {
 		passSeconds: r.CounterVec("atomique_pass_seconds_total",
 			"Cumulative wall seconds per compile-pipeline pass across executed compilations.",
 			"pass"),
+		passRuns: r.Counter("atomique_pass_runs_total",
+			"Executed compilations that reported per-pass timings."),
 		passLatency: r.HistogramVec("atomique_pass_duration_seconds",
 			"Per-execution wall time of each compile-pipeline pass.",
 			nil, "pass"),
@@ -214,4 +218,19 @@ func classOf(opts compiler.Options) string {
 	default:
 		return ClassCompile
 	}
+}
+
+// sum totals v's counters whose labels match want position by position; an
+// empty entry matches any value.
+func sum(v *obs.CounterVec, want ...string) uint64 {
+	var n float64
+	v.Each(func(labels []string, c *obs.Counter) {
+		for i, w := range want {
+			if w != "" && labels[i] != w {
+				return
+			}
+		}
+		n += c.Value()
+	})
+	return uint64(n)
 }
