@@ -32,27 +32,8 @@ func main() {
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		useSvc  = flag.Bool("service", false, "run Atomique compiles through the compile service's batch path (content-addressed cache dedupes repeated sweeps)")
 		workers = flag.Int("workers", 0, "service worker pool size (with -service; 0 = GOMAXPROCS)")
-
-		benchRecordPath = flag.String("bench-record", "", "measure the tracked benchmark workloads (Tab2 compile, per-backend compile, noisy-shot throughput), write the JSON perf record to this file, and exit")
-		benchBaseline   = flag.String("bench-baseline", "", "pre-change Tab2 baseline to diff against in -bench-record: seconds/op, a BENCH_*.json file, or a directory holding BENCH_*.json records (latest wins); empty = none; >2% regression fails the run")
 	)
 	flag.Parse()
-
-	if *benchRecordPath != "" {
-		baseline, source, err := resolveBaseline(*benchBaseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: bench-baseline: %v\n", err)
-			os.Exit(1)
-		}
-		if source != "" {
-			fmt.Printf("baseline from %s: %.6fs\n", source, baseline)
-		}
-		if err := runBenchRecord(*benchRecordPath, baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: bench-record: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *useSvc {
 		engine := service.New(service.Config{Workers: *workers})

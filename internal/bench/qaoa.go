@@ -26,11 +26,6 @@ func QAOARegular(n, d int, seed int64) *circuit.Circuit {
 	return qaoaFromEdges(n, edges, rng)
 }
 
-// QAOAFromEdges returns one QAOA layer for an explicit edge list.
-func QAOAFromEdges(n int, edges []graphs.Edge, seed int64) *circuit.Circuit {
-	return qaoaFromEdges(n, edges, rand.New(rand.NewSource(seed)))
-}
-
 func qaoaFromEdges(n int, edges []graphs.Edge, rng *rand.Rand) *circuit.Circuit {
 	c := circuit.New(n)
 	gamma := rng.Float64() * math.Pi

@@ -47,7 +47,7 @@ func (c *Circuit) Remap(n int, mapping []int) *Circuit {
 	if len(mapping) != c.N {
 		panic("circuit: Remap size mismatch")
 	}
-	seen := make(map[int]bool, len(mapping))
+	seen := make([]bool, n)
 	for _, m := range mapping {
 		if m < 0 || m >= n || seen[m] {
 			panic("circuit: Remap mapping not injective into range")

@@ -21,11 +21,12 @@ func (atomiqueBackend) Capabilities() compiler.Capabilities {
 		Movement:      true,
 		Routes:        true,
 		Deterministic: true,
+		MaxQubits:     1024,
 	}
 }
 
 func (b atomiqueBackend) Compile(ctx context.Context, tgt compiler.Target, circ *circuit.Circuit, opts compiler.Options) (*compiler.Result, error) {
-	if err := checkRequest(b, ctx, tgt, opts); err != nil {
+	if err := checkRequest(b, ctx, tgt, circ, opts); err != nil {
 		return nil, err
 	}
 	cfg, err := tgt.Hardware(circ.N)

@@ -39,10 +39,14 @@ func init() {
 
 // checkRequest is the shared entry contract every adapter honours: the
 // context is still live (backends with long-running inner loops additionally
-// check mid-compile) and the request only asks for declared capabilities.
-func checkRequest(b compiler.Backend, ctx context.Context, tgt compiler.Target, opts compiler.Options) error {
+// check mid-compile), the circuit is within the declared width, and the
+// request only asks for declared capabilities.
+func checkRequest(b compiler.Backend, ctx context.Context, tgt compiler.Target, circ *circuit.Circuit, opts compiler.Options) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%s: compilation cancelled: %w", b.Name(), err)
+	}
+	if err := compiler.CheckWidth(b, circ.N); err != nil {
+		return err
 	}
 	return compiler.CheckSupport(b.Name(), b.Capabilities(), tgt, opts)
 }

@@ -25,11 +25,12 @@ func (qpilotBackend) Capabilities() compiler.Capabilities {
 		// The witness runs every 2Q term through a flying ancilla: one per
 		// two compute qubits, so ceil(1.5 n) slots.
 		WitnessQubitFactor: 1.5,
+		MaxQubits:          4096,
 	}
 }
 
 func (b qpilotBackend) Compile(ctx context.Context, tgt compiler.Target, circ *circuit.Circuit, opts compiler.Options) (*compiler.Result, error) {
-	if err := checkRequest(b, ctx, tgt, opts); err != nil {
+	if err := checkRequest(b, ctx, tgt, circ, opts); err != nil {
 		return nil, err
 	}
 	cfg, err := tgt.Hardware(circ.N)

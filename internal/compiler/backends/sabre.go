@@ -23,11 +23,12 @@ func (sabreBackend) Capabilities() compiler.Capabilities {
 		Coupling:      true,
 		Routes:        true,
 		Deterministic: true,
+		MaxQubits:     1024,
 	}
 }
 
 func (b sabreBackend) Compile(ctx context.Context, tgt compiler.Target, circ *circuit.Circuit, opts compiler.Options) (*compiler.Result, error) {
-	if err := checkRequest(b, ctx, tgt, opts); err != nil {
+	if err := checkRequest(b, ctx, tgt, circ, opts); err != nil {
 		return nil, err
 	}
 	a, err := tgt.Arch(circ.N, compiler.FamilyRectangular)

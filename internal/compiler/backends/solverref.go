@@ -28,11 +28,12 @@ func (solverrefBackend) Capabilities() compiler.Capabilities {
 		Deterministic: true,
 		Exact:         true,
 		Budget:        true,
+		MaxQubits:     256, // its 16x16 arrays
 	}
 }
 
 func (b solverrefBackend) Compile(ctx context.Context, tgt compiler.Target, circ *circuit.Circuit, opts compiler.Options) (*compiler.Result, error) {
-	if err := checkRequest(b, ctx, tgt, opts); err != nil {
+	if err := checkRequest(b, ctx, tgt, circ, opts); err != nil {
 		return nil, err
 	}
 	sopts := solverref.Options{Mode: solverref.IterP, Seed: opts.Seed}

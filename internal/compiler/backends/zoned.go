@@ -24,11 +24,12 @@ func (zonedBackend) Capabilities() compiler.Capabilities {
 		Movement:      true,
 		Routes:        true,
 		Deterministic: true,
+		MaxQubits:     4096,
 	}
 }
 
 func (b zonedBackend) Compile(ctx context.Context, tgt compiler.Target, circ *circuit.Circuit, opts compiler.Options) (*compiler.Result, error) {
-	if err := checkRequest(b, ctx, tgt, opts); err != nil {
+	if err := checkRequest(b, ctx, tgt, circ, opts); err != nil {
 		return nil, err
 	}
 	geo, params, err := tgt.ZoneSetup(circ.N)

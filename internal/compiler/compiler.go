@@ -74,6 +74,11 @@ type Capabilities struct {
 	// trajectory simulations that cannot fit the dense replay before any
 	// compile work is spent.
 	WitnessQubitFactor float64 `json:"witnessQubitFactor,omitempty"`
+	// MaxQubits is the widest circuit the backend compiles, set from its
+	// measured compile time and heap on its canonical device (README,
+	// "Width limits"). CheckWidth enforces it before any work proportional
+	// to the width.
+	MaxQubits int `json:"maxQubits"`
 }
 
 // WitnessWidth predicts the execution-witness register width for an n-qubit
@@ -252,6 +257,16 @@ func CheckSupport(name string, caps Capabilities, tgt Target, opts Options) erro
 		if !caps.Zoned {
 			return &UnsupportedError{Backend: name, Feature: "zoned targets"}
 		}
+	}
+	return nil
+}
+
+// CheckWidth rejects an n-qubit circuit wider than the backend's declared
+// MaxQubits with *UnsupportedError. Every built-in adapter calls it on
+// entry, and the compile service calls it before it builds a target.
+func CheckWidth(b Backend, n int) error {
+	if max := b.Capabilities().MaxQubits; n > max {
+		return &UnsupportedError{Backend: b.Name(), Feature: fmt.Sprintf("%d-qubit circuits (at most %d)", n, max)}
 	}
 	return nil
 }

@@ -161,6 +161,26 @@ func Run(t *testing.T, b compiler.Backend) {
 	t.Run("capabilities-honesty", func(t *testing.T) {
 		runHonesty(t, b)
 	})
+
+	t.Run("width-limit", func(t *testing.T) {
+		if caps.MaxQubits <= 0 {
+			t.Fatalf("backend %q declares no MaxQubits", b.Name())
+		}
+		if _, err := b.Compile(context.Background(), compiler.Target{}, cxChain(caps.MaxQubits), compiler.Options{Seed: 11}); err != nil {
+			t.Errorf("backend %q rejected %d qubits, its declared MaxQubits: %v", b.Name(), caps.MaxQubits, err)
+		}
+		_, err := b.Compile(context.Background(), compiler.Target{}, cxChain(caps.MaxQubits+1), compiler.Options{Seed: 11})
+		wantUnsupported(t, b.Name(), fmt.Sprintf("%d-qubit", caps.MaxQubits+1), err)
+	})
+}
+
+// cxChain is an n-qubit CX chain.
+func cxChain(n int) *circuit.Circuit {
+	c := circuit.New(n)
+	for q := 0; q+1 < n; q++ {
+		c.CX(q, q+1)
+	}
+	return c
 }
 
 // wantUnsupported asserts that a compile attempt was rejected with the
@@ -244,12 +264,6 @@ func runHonesty(t *testing.T, b compiler.Backend) {
 	})
 }
 
-// maxSimQubits bounds the witness width the dense verifier will replay. It
-// is the dense trajectory engine's cap so a witness that dense-verifies here
-// can always be simulated noisily too. Clifford witnesses bypass it entirely
-// through the stabilizer engine, up to stab.MaxQubits.
-const maxSimQubits = noise.MaxQubits
-
 // VerifyResult checks a compilation's program witness is semantically
 // equivalent to the source circuit up to the routing permutation: executing
 // the witness on |0...0> must equal the source's output state embedded at
@@ -260,7 +274,8 @@ const maxSimQubits = noise.MaxQubits
 // Clifford-only, equivalence is established in the stabilizer tableau
 // (internal/stab) — O(n³) bit operations, good to hundreds of qubits — and
 // the dense state-vector replay is the fallback for everything else, capped
-// at maxSimQubits.
+// at noise.MaxQubits so a witness that dense-verifies here can always be
+// simulated noisily too.
 func VerifyResult(src *circuit.Circuit, res *compiler.Result) error {
 	return VerifyResultEngine(src, res, noise.EngineAuto)
 }
@@ -292,29 +307,25 @@ func VerifyResultEngine(src *circuit.Circuit, res *compiler.Result, engine strin
 	if err := (noise.Witness{NSlots: p.NSlots, Gates: p.Gates}).CheckSlots(); err != nil {
 		return err
 	}
-	// Verification keeps its own dispatch instead of noise.Dispatch: it runs
-	// one tableau equivalence check per witness, not a tableau and a frame
-	// per trajectory shot, so it takes Clifford witnesses up to the tableau's
-	// own limit (stab.MaxQubits = 4096) rather than the trajectory engine's
-	// 1024-slot service cap.
-	switch engine {
-	case noise.EngineStab:
-		return verifyStab(src, p)
-	case noise.EngineDense:
-		return verifyDense(src, p)
-	default: // auto
-		if src.IsClifford() && circuit.AllClifford(p.Gates) && p.NSlots <= stab.MaxQubits {
-			return verifyStab(src, p)
-		}
-		return verifyDense(src, p)
+	// Auto dispatch also needs a Clifford source. Verification runs one
+	// tableau check per witness, not a tableau and a frame per trajectory
+	// shot, so its stabilizer cap is the tableau's own (stab.MaxQubits)
+	// rather than the trajectory engine's.
+	if (engine == "" || engine == noise.EngineAuto) && !src.IsClifford() {
+		engine = noise.EngineDense
 	}
+	engine, err := noise.Dispatch(engine, p.NSlots, p.Gates, stab.MaxQubits)
+	if err != nil {
+		return err
+	}
+	if engine == noise.EngineStab {
+		return verifyStab(src, p)
+	}
+	return verifyDense(src, p)
 }
 
-// verifyDense is the state-vector equivalence check (≤ maxSimQubits).
+// verifyDense is the state-vector equivalence check (≤ noise.MaxQubits).
 func verifyDense(src *circuit.Circuit, p *compiler.Program) error {
-	if p.NSlots > maxSimQubits {
-		return fmt.Errorf("witness register %d slots wide; the dense verifier handles at most %d (Clifford witnesses dispatch to the stabilizer verifier)", p.NSlots, maxSimQubits)
-	}
 	got := sim.MustNew(p.NSlots)
 	for _, g := range p.Gates {
 		got.Apply(g)

@@ -204,19 +204,6 @@ func allInOneArray(sizes []int) bool {
 	return nonEmpty <= 1
 }
 
-// relabel renames circuit qubits through slotOf onto a width-n register.
-func relabel(c *circuit.Circuit, slotOf []int, n int) *circuit.Circuit {
-	out := circuit.New(n)
-	for _, g := range c.Gates {
-		g.Q0 = slotOf[g.Q0]
-		if g.IsTwoQubit() {
-			g.Q1 = slotOf[g.Q1]
-		}
-		out.Add(g)
-	}
-	return out
-}
-
 // sortPairsByWeight returns interaction pairs in descending weight order
 // (rank order of Fig 7), ties broken by pair index for determinism.
 func sortPairsByWeight(w map[[2]int]int) [][2]int {

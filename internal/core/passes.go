@@ -68,7 +68,7 @@ func (p swapInsertPass) Run(_ context.Context, st *pipeline.State) error {
 		return fmt.Errorf("core: all qubits mapped to one array; no couplings available")
 	}
 	if st.Circ.Num2Q() == 0 {
-		st.Routed = relabel(st.Circ, st.SlotOf, mp.N)
+		st.Routed = st.Circ.Remap(mp.N, st.SlotOf)
 		return nil
 	}
 	res := sabre.Route(st.Circ, mp, sabre.Options{

@@ -38,7 +38,7 @@ func compileReference(cfg hardware.Config, circ *circuit.Circuit, opts Options) 
 	var swaps int
 	finalSlotOf := slotOf
 	if circ.Num2Q() == 0 {
-		routed = relabel(circ, slotOf, mp.N)
+		routed = circ.Remap(mp.N, slotOf)
 	} else {
 		res := sabre.Route(circ, mp, sabre.Options{InitialMapping: slotOf, Seed: opts.Seed})
 		routed = res.Routed

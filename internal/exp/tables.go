@@ -70,10 +70,11 @@ func Table2() []*report.Table {
 }
 
 func probeSolver(b bench.Benchmark, exact bool) string {
-	if b.Circ.N > 256 {
+	be := mustBackend("solverref")
+	if b.Circ.N > be.Capabilities().MaxQubits {
 		return "timeout"
 	}
-	res, err := mustBackend("solverref").Compile(context.Background(), compiler.Target{}, b.Circ,
+	res, err := be.Compile(context.Background(), compiler.Target{}, b.Circ,
 		compiler.Options{Seed: 1, Exact: exact, BudgetSeconds: Table2Budget.Seconds()})
 	if err != nil || res.TimedOut {
 		return "timeout"

@@ -92,8 +92,8 @@ func BenchmarkStabTrajectory(b *testing.B) {
 // BenchmarkSample measures measurement-sampling throughput (the /v1/sample
 // hot path) on both engines: the dense CDF sampler over a 12-qubit QAOA
 // witness and the stabilizer affine-subspace sampler over a 128-qubit GHZ
-// witness. CI runs it as a smoke test (-benchtime=1x); BENCH_NNNN.json
-// records the same workloads via cmd/experiments -bench-record.
+// witness. CI runs it as a smoke test (-benchtime=1x), and cmd/abgate
+// compares it between a change and its base.
 func BenchmarkSample(b *testing.B) {
 	const shots = 16384
 	run := func(b *testing.B, model noise.Model, w noise.Witness, engine string) {

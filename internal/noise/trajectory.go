@@ -38,14 +38,16 @@ const (
 	EngineStab = "stab"
 )
 
-// Dispatch is the engine-dispatch rule of every trajectory run — Simulate,
-// Sample, and the compile service's pre-compile request check. It resolves
-// the requested engine (EngineAuto or "", EngineDense, EngineStab) for a
-// register of slots qubits running gates: auto picks the stabilizer engine
-// when every gate is Clifford and the dense engine otherwise. The width must
-// fit the chosen engine's cap, and pinning EngineStab on a stream with a
-// non-Clifford gate returns an error wrapping *stab.NonCliffordError.
-func Dispatch(requested string, slots int, gates []circuit.Gate) (string, error) {
+// Dispatch is the engine-dispatch rule of every replay — Simulate, Sample,
+// the compile service's pre-compile request check, and the conformance
+// suite's witness verification. It resolves the requested engine (EngineAuto
+// or "", EngineDense, EngineStab) for a register of slots qubits running
+// gates: auto picks the stabilizer engine when every gate is Clifford and the
+// dense engine otherwise. The width must fit the chosen engine's cap —
+// MaxQubits for dense, stabCap for the stabilizer engine (MaxStabQubits for
+// trajectories) — and pinning EngineStab on a stream with a non-Clifford
+// gate returns an error wrapping *stab.NonCliffordError.
+func Dispatch(requested string, slots int, gates []circuit.Gate, stabCap int) (string, error) {
 	engine := requested
 	switch requested {
 	case EngineDense, EngineStab:
@@ -61,9 +63,9 @@ func Dispatch(requested string, slots int, gates []circuit.Gate) (string, error)
 	case slots <= 0:
 		return "", fmt.Errorf("witness register %d slots wide; want at least 1", slots)
 	case engine == EngineDense && slots > MaxQubits:
-		return "", fmt.Errorf("witness register %d slots wide; the dense trajectory engine handles 1..%d (Clifford witnesses dispatch to engine=stab)", slots, MaxQubits)
-	case engine == EngineStab && slots > MaxStabQubits:
-		return "", fmt.Errorf("witness register %d slots wide; the stabilizer trajectory engine handles 1..%d", slots, MaxStabQubits)
+		return "", fmt.Errorf("witness register %d slots wide; the dense engine handles 1..%d (Clifford witnesses dispatch to engine=stab)", slots, MaxQubits)
+	case engine == EngineStab && slots > stabCap:
+		return "", fmt.Errorf("witness register %d slots wide; the stabilizer engine handles 1..%d", slots, stabCap)
 	}
 	if requested == EngineStab {
 		for i, g := range gates {
@@ -262,7 +264,7 @@ func prepare(ctx context.Context, mo Model, w Witness, engine string, shots int,
 	if err := CheckShots(shots, offset); err != nil {
 		return nil, fmt.Errorf("noise: %w", err)
 	}
-	engine, err := Dispatch(engine, w.NSlots, w.Gates)
+	engine, err := Dispatch(engine, w.NSlots, w.Gates, MaxStabQubits)
 	if err == nil {
 		err = w.CheckSlots()
 	}

@@ -15,6 +15,18 @@ import (
 	"strings"
 
 	"atomique/internal/circuit"
+	"atomique/internal/stab"
+)
+
+// Input caps. Parse rejects a source line longer than maxLine and a qreg
+// wider than MaxQubits with a *ParseError.
+const (
+	// MaxQubits is the widest register anything in the repository
+	// simulates (the stabilizer tableau's width). Each backend declares a
+	// lower compile limit in compiler.Capabilities.MaxQubits.
+	MaxQubits = stab.MaxQubits
+	// maxLine caps one source line; the scanner's buffer grows up to it.
+	maxLine = 1 << 20
 )
 
 // ParseError is a structured syntax error: the 1-based source line (0 when
@@ -83,7 +95,7 @@ func writeGate(w io.Writer, g circuit.Gate) error {
 // (creg, barrier, measure, include) are skipped; unknown gates are an error.
 func Parse(r io.Reader) (*circuit.Circuit, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, maxLine)
 	var c *circuit.Circuit
 	line := 0
 	for sc.Scan() {
@@ -144,6 +156,9 @@ func parseStatement(c **circuit.Circuit, stmt string) error {
 			// circuit.New panics on negative widths; a negative register is a
 			// syntax error, not a compiler bug.
 			return fmt.Errorf("negative qreg size %d", n)
+		}
+		if n > MaxQubits {
+			return fmt.Errorf("qreg size %d exceeds the %d-qubit limit", n, MaxQubits)
 		}
 		if *c != nil {
 			return fmt.Errorf("multiple qreg declarations")

@@ -22,38 +22,30 @@ import (
 )
 
 // Options tunes the router. The zero value is usable: identity initial
-// mapping refined by one reverse pass, standard heuristic weights, SWAPs
-// decomposed into three CX gates.
+// mapping refined by one reverse pass, standard heuristic weights.
 type Options struct {
 	// InitialMapping maps logical qubit -> physical qubit. Nil selects the
 	// identity mapping refined by reverse passes.
 	InitialMapping []int
 	// ExtendedSize is the lookahead window size (default 20).
 	ExtendedSize int
-	// ExtendedWeight scales the lookahead term (default 0.5).
-	ExtendedWeight float64
-	// DecayStep is the per-use decay increment discouraging ping-pong swaps
-	// (default 0.001).
-	DecayStep float64
 	// ReversePasses is the number of forward/backward refinement rounds used
 	// to pick the initial mapping when InitialMapping is nil (default 1).
 	ReversePasses int
 	// Seed drives tie-breaking; routing is deterministic for a fixed seed.
 	Seed int64
-	// KeepSwapsAtomic emits inserted SWAPs as single SWAP gates instead of
-	// the default three-CX decomposition.
-	KeepSwapsAtomic bool
 }
+
+const (
+	// extendedWeight scales the lookahead term.
+	extendedWeight = 0.5
+	// decayStep is the per-use decay increment discouraging ping-pong swaps.
+	decayStep = 0.001
+)
 
 func (o Options) withDefaults() Options {
 	if o.ExtendedSize == 0 {
 		o.ExtendedSize = 20
-	}
-	if o.ExtendedWeight == 0 {
-		o.ExtendedWeight = 0.5
-	}
-	if o.DecayStep == 0 {
-		o.DecayStep = 0.001
 	}
 	if o.ReversePasses == 0 {
 		o.ReversePasses = 1
@@ -64,8 +56,7 @@ func (o Options) withDefaults() Options {
 // Result is a routed circuit over physical qubits.
 type Result struct {
 	// Routed is the physical circuit: every two-qubit gate acts on adjacent
-	// physical qubits; inserted SWAPs appear as three CX gates (or one SWAP
-	// gate when KeepSwapsAtomic is set).
+	// physical qubits; inserted SWAPs appear as three CX gates.
 	Routed *circuit.Circuit
 	// InitialMapping and FinalMapping map logical -> physical.
 	InitialMapping []int
@@ -150,13 +141,9 @@ func (r *router) routeOnce(c *circuit.Circuit, l2p []int) Result {
 	swaps := 0
 	sinceReset := 0
 	swap := func(a, b int) {
-		if r.opts.KeepSwapsAtomic {
-			out.Add2Q(circuit.OpSWAP, a, b, 0)
-		} else {
-			out.CX(a, b)
-			out.CX(b, a)
-			out.CX(a, b)
-		}
+		out.CX(a, b)
+		out.CX(b, a)
+		out.CX(a, b)
 		swaps++
 		la, lb := p2l[a], p2l[b]
 		p2l[a], p2l[b] = lb, la
@@ -166,8 +153,8 @@ func (r *router) routeOnce(c *circuit.Circuit, l2p []int) Result {
 		if lb >= 0 {
 			l2p[lb] = a
 		}
-		decay[a] += r.opts.DecayStep
-		decay[b] += r.opts.DecayStep
+		decay[a] += decayStep
+		decay[b] += decayStep
 		sinceReset++
 		if sinceReset >= 5 {
 			for i := range decay {
@@ -371,5 +358,5 @@ func (r *router) swapCost(l2p []int, front, ext []circuit.Gate,
 		ecost /= float64(len(ext))
 	}
 	d := 1 + decay[swap[0]] + decay[swap[1]]
-	return d * (fcost + r.opts.ExtendedWeight*ecost)
+	return d * (fcost + extendedWeight*ecost)
 }

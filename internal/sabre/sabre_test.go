@@ -130,22 +130,6 @@ func TestRicherTopologyNeedsFewerSwaps(t *testing.T) {
 	}
 }
 
-func TestKeepSwapsAtomic(t *testing.T) {
-	cg := graphs.Grid(1, 3)
-	c := circuit.New(3)
-	c.CX(0, 2)
-	r := Route(c, cg, Options{KeepSwapsAtomic: true, InitialMapping: []int{0, 1, 2}})
-	found := false
-	for _, g := range r.Routed.Gates {
-		if g.Op == circuit.OpSWAP {
-			found = true
-		}
-	}
-	if r.SwapCount > 0 && !found {
-		t.Errorf("atomic swaps requested but none emitted")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	cg := graphs.Grid(4, 4)
 	c := bell(16)

@@ -137,6 +137,10 @@ func (e *Engine) resolve(req Request) (task, error) {
 		return task{}, &RequestError{Msg: fmt.Sprintf("unknown backend %q (see GET /v1/backends; registered: %v)",
 			backendName, compiler.Names())}
 	}
+	// Before the target: default targets grow with the circuit.
+	if err := compiler.CheckWidth(be, circ.N); err != nil {
+		return task{}, &RequestError{Msg: err.Error()}
+	}
 
 	prio, err := parsePriority(req.Priority)
 	if err != nil {
@@ -169,7 +173,7 @@ func (e *Engine) resolve(req Request) (task, error) {
 	// and "stab" runs of the same circuit never alias.
 	if req.Shots > 0 {
 		w := be.Capabilities().WitnessWidth(circ.N)
-		if opts.Engine, err = noise.Dispatch(req.Engine, w, circ.Gates); err != nil {
+		if opts.Engine, err = noise.Dispatch(req.Engine, w, circ.Gates, noise.MaxStabQubits); err != nil {
 			return task{}, &RequestError{Msg: fmt.Sprintf("%v; backend %q compiles this %d-qubit circuit to a %d-slot witness", err, be.Name(), circ.N, w)}
 		}
 	}

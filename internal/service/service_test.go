@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -142,6 +144,16 @@ func TestResolveErrors(t *testing.T) {
 		{"huge aod count", Request{Benchmark: "H2-4", AODs: 16777216}},
 		{"many aods", Request{Benchmark: "H2-4", AODs: 100000}},
 		{"huge slm side", Request{Benchmark: "H2-4", SLM: 4000}},
+		// A qreg past qasm.MaxQubits fails the parse, and one past the
+		// backend's MaxQubits fails its width check, before any work
+		// proportional to the width.
+		{"4096 qubits on the largest machine", Request{QASM: cxChain(4096), SLM: 256, AODs: 16, AODSize: 256}},
+	}
+	for _, name := range compiler.Names() {
+		cases = append(cases, struct {
+			name string
+			req  Request
+		}{name + " 100000 qubits", Request{Backend: name, QASM: "qreg q[100000]; h q[0]; cx q[0],q[1];"}})
 	}
 	for _, tc := range cases {
 		_, err := e.Submit(context.Background(), tc.req)
@@ -156,6 +168,16 @@ func TestResolveErrors(t *testing.T) {
 	if !errors.As(err, &re) || re.Line != 3 {
 		t.Fatalf("qasm error = %#v, want line 3", err)
 	}
+}
+
+// cxChain is an n-qubit CX chain in OpenQASM.
+func cxChain(n int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "qreg q[%d];\n", n)
+	for q := 0; q+1 < n; q++ {
+		fmt.Fprintf(&b, "cx q[%d],q[%d];\n", q, q+1)
+	}
+	return b.String()
 }
 
 // TestConcurrentIdenticalRequests is the cache acceptance check: N identical

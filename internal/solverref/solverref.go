@@ -135,7 +135,7 @@ func Compile(circ *circuit.Circuit, opts Options) (Result, error) {
 		finalSlotOf = res.FinalMapping
 		swaps = res.SwapCount
 	} else {
-		routed = relabel(circ, slotOf, circ.N)
+		routed = circ.Remap(circ.N, slotOf)
 	}
 
 	// Step 3: placement + scheduling on the single-AOD machine.
@@ -177,18 +177,6 @@ func Compile(circ *circuit.Circuit, opts Options) (Result, error) {
 		m.AvgMoveDist = stats.totalDist / float64(sched)
 	}
 	return Result{Metrics: m, Routed: routed, FinalSlotOf: finalSlotOf}, nil
-}
-
-func relabel(c *circuit.Circuit, slotOf []int, n int) *circuit.Circuit {
-	out := circuit.New(n)
-	for _, g := range c.Gates {
-		g.Q0 = slotOf[g.Q0]
-		if g.IsTwoQubit() {
-			g.Q1 = slotOf[g.Q1]
-		}
-		out.Add(g)
-	}
-	return out
 }
 
 // exactMaxCut solves MAX-CUT by branch-and-bound: assign vertices in
