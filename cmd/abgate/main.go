@@ -135,7 +135,7 @@ func run(ctx context.Context, ref string) (bool, error) {
 			}
 		}
 		for _, w := range workloads {
-			var digests [2]string
+			var windows, digests [2]string
 			for _, s := range order {
 				if !has[s][w] {
 					continue
@@ -145,13 +145,14 @@ func run(ctx context.Context, ref string) (bool, error) {
 				out, err := command(ctx, dirs[s], c[0], slices.Concat(c[1:],
 					[]string{"--workload", w, "--seed", strconv.Itoa(p + 1), "--seconds", seconds, "--trace", "0"})...)
 				if err == nil {
+					windows[s] = recompiled.FindString(out)
 					digests[s], err = t.workload(s, w, p+1, out)
 				}
 				if err != nil {
 					return false, err
 				}
 			}
-			fmt.Printf("%s seed %d: base %s, head %s, same=%t\n", w, p+1, digests[0], digests[1], digests[0] == digests[1])
+			fmt.Println(digestLine(w, p+1, windows, digests))
 		}
 	}
 	return t.report(os.Stdout), nil
@@ -196,6 +197,21 @@ func (t *tally) goBench(side int, out string, procs int) {
 }
 
 var servedDigest = regexp.MustCompile(`served_digest=\S+`)
+
+// recompiled is the size of a perfbench run's window: the count of the
+// requests it recompiled, the ones its served digest covers.
+var recompiled = regexp.MustCompile(`recompiled=\d+`)
+
+// digestLine reports whether base and head served the same digest for
+// workload w and seed. A digest covers only the requests its window reached,
+// so two are compared only when both windows recompiled as many requests.
+func digestLine(w string, seed int, windows, digests [2]string) string {
+	line := fmt.Sprintf("%s seed %d: base %s %s, head %s %s", w, seed, windows[0], digests[0], windows[1], digests[1])
+	if windows[0] != windows[1] {
+		return line + ", windows differ"
+	}
+	return fmt.Sprintf("%s, same=%t", line, digests[0] == digests[1])
+}
 
 // workload records one side's run of workload w: the metrics of its result
 // object, the last line of out. A head run that reports "correct":false

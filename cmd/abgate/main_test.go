@@ -153,6 +153,36 @@ func TestWorkloadParsesRecordedRun(t *testing.T) {
 	}
 }
 
+func TestDigestLine(t *testing.T) {
+	other := strings.Replace(perfOutput, "b74d53df4213bc91", "0123456789abcdef", 1)
+	// A shorter window: perfbench reached one request fewer.
+	shorter := strings.Replace(other, "recompiled=64 canonical_equal=64", "recompiled=63 canonical_equal=63", 1)
+	for _, tc := range []struct {
+		name, base, head, want string
+	}{
+		{"same window, same digest", perfOutput, perfOutput,
+			"compile-hot seed 3: base recompiled=64 served_digest=b74d53df4213bc91, head recompiled=64 served_digest=b74d53df4213bc91, same=true"},
+		{"same window, other digest", perfOutput, other,
+			"compile-hot seed 3: base recompiled=64 served_digest=b74d53df4213bc91, head recompiled=64 served_digest=0123456789abcdef, same=false"},
+		{"windows differ", perfOutput, shorter,
+			"compile-hot seed 3: base recompiled=64 served_digest=b74d53df4213bc91, head recompiled=63 served_digest=0123456789abcdef, windows differ"},
+	} {
+		tl := newTally(e2e)
+		var windows, digests [2]string
+		for s, out := range [2]string{tc.base, tc.head} {
+			windows[s] = recompiled.FindString(out)
+			d, err := tl.workload(s, "compile-hot", 3, out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests[s] = d
+		}
+		if got := digestLine("compile-hot", 3, windows, digests); got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestReport(t *testing.T) {
 	base := []float64{100, 104, 98, 101, 99, 103, 97, 102, 100, 105}
 	incorrect := strings.Replace(perfOutput, `"correct":true`, `"correct":false`, 1)

@@ -42,9 +42,9 @@ func main() {
 		listBackends = flag.Bool("backends", false, "list registered compiler backends and exit")
 		backendName  = flag.String("backend", "atomique", "compiler backend (see -backends)")
 		family       = flag.String("family", "", "coupling family for fixed-topology backends (superconducting, rectangular, triangular, long-range)")
-		slm          = flag.Int("slm", 10, "SLM array side length (FPQA backends)")
-		aods         = flag.Int("aods", 2, "number of AOD arrays (FPQA backends)")
-		aodSize      = flag.Int("aodsize", 10, "AOD array side length (FPQA backends)")
+		slm          = flag.Int("slm", 0, "SLM array side length (FPQA backends; 0 = the paper's 10)")
+		aods         = flag.Int("aods", 0, "number of AOD arrays (FPQA backends; 0 = the paper's 2)")
+		aodSize      = flag.Int("aodsize", 0, "AOD array side length (FPQA backends; 0 = the paper's 10)")
 		zStorage     = flag.Int("zstorage", 0, "storage-zone side length (zoned backends; 0 = sized for the circuit)")
 		zSites       = flag.Int("zsites", 0, "entangling-zone gate sites (zoned backends; 0 = default)")
 		zGap         = flag.Float64("zgap", 0, "storage-entangling zone gap in um (zoned backends; 0 = default)")
@@ -139,85 +139,23 @@ func main() {
 		return
 	}
 
-	// Device selection. Flags for the other target kind are rejected, not
-	// silently ignored — matching the service's resolveTarget policy.
-	// (Option flags like -serial/-relax are backend-independent knobs that
-	// non-atomique backends legitimately ignore.) An FPQA backend with no
-	// machine flags gets the auto target, i.e. its own canonical device
-	// (atomique: the paper-default machine grown to fit; solverref: the
-	// 16x16 OLSQ-DPQA arrays) — exactly like an unset -family resolves to a
-	// coupling backend's canonical topology.
-	machineFlagSet := false
-	zoneFlagSet := false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "slm", "aods", "aodsize":
-			machineFlagSet = true
-		case "zstorage", "zsites", "zgap":
-			zoneFlagSet = true
+	// Zone flags start from the zoned backend's default machine for this
+	// circuit; compiler.Resolve holds every device and option rule, the ones
+	// the compile service applies to its requests.
+	var zones *compiler.ZonedSpec
+	if *zStorage != 0 || *zSites != 0 || *zGap != 0 {
+		z := hardware.ZonesFor(circ.Circ.N)
+		if *zStorage != 0 {
+			z.StorageRows, z.StorageCols = *zStorage, *zStorage
 		}
-	})
-	if zoneFlagSet && !caps.Zoned {
-		fmt.Fprintf(os.Stderr, "atomique: -zstorage/-zsites/-zgap apply only to zoned backends (%s is not one)\n", backend.Name())
-		os.Exit(1)
+		if *zSites != 0 {
+			z.EntangleSites = *zSites
+		}
+		if *zGap != 0 {
+			z.ZoneGap = *zGap * 1e-6
+		}
+		zones = &compiler.ZonedSpec{Geometry: z}
 	}
-	var tgt compiler.Target
-	var cfg hardware.Config
-	var zones hardware.ZoneGeometry
-	switch {
-	case caps.Zoned:
-		if *family != "" || machineFlagSet {
-			fmt.Fprintf(os.Stderr, "atomique: %s compiles zoned machines; use -zstorage/-zsites/-zgap instead of -family or -slm/-aods/-aodsize\n", backend.Name())
-			os.Exit(1)
-		}
-		zones = hardware.ZonesFor(circ.Circ.N)
-		if zoneFlagSet {
-			if *zStorage < 0 || *zSites < 0 || *zGap < 0 {
-				fmt.Fprintln(os.Stderr, "atomique: -zstorage/-zsites/-zgap must be non-negative (0 = default)")
-				os.Exit(1)
-			}
-			if *zStorage > 0 {
-				zones.StorageRows, zones.StorageCols = *zStorage, *zStorage
-			}
-			if *zSites > 0 {
-				zones.EntangleSites = *zSites
-			}
-			if *zGap > 0 {
-				zones.ZoneGap = *zGap * 1e-6
-			}
-			tgt = compiler.Zoned(zones)
-			if err := tgt.Validate(); err != nil {
-				fmt.Fprintf(os.Stderr, "atomique: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	case caps.FPQA:
-		if *family != "" {
-			fmt.Fprintf(os.Stderr, "atomique: -family applies only to fixed-topology backends (%s compiles FPQA machines)\n", backend.Name())
-			os.Exit(1)
-		}
-		if machineFlagSet {
-			cfg = hardware.BuildConfig(*slm, *aods, *aodSize, hardware.NeutralAtom())
-			tgt = compiler.FPQA(cfg)
-		} else {
-			// cfg is still needed for -viz/-json rendering; for the auto
-			// target the atomique backend compiles on exactly this machine.
-			cfg = compiler.DefaultFPQAConfig(circ.Circ.N)
-		}
-	default:
-		if machineFlagSet {
-			fmt.Fprintf(os.Stderr, "atomique: -slm/-aods/-aodsize apply only to FPQA backends (%s compiles fixed topologies; use -family)\n", backend.Name())
-			os.Exit(1)
-		}
-		if *family != "" {
-			tgt = compiler.Coupling(*family, 0)
-			if err := tgt.Validate(); err != nil {
-				fmt.Fprintf(os.Stderr, "atomique: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
 	noisyShots := *shots
 	if noisyShots == 0 && *noisy {
 		noisyShots = 2000
@@ -225,16 +163,15 @@ func main() {
 	if noisyShots == 0 && *sample {
 		noisyShots = 4096
 	}
-	opts := compiler.Options{Seed: *seed, SerialRouter: *serial, DenseMapper: *dense,
-		Exact: *exact, BudgetSeconds: *budget,
-		NoisyShots: noisyShots, NoiseSeed: *noiseSeed, NoiseScale: *noiseScale,
-		SampleBits: *sample, ShotOffset: *shotOffset}
-	if err := opts.ApplyRelax(*relax); err != nil {
-		fmt.Fprintf(os.Stderr, "atomique: bad -relax flag: %v\n", err)
-		os.Exit(1)
-	}
-	if err := opts.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "atomique: bad options: %v\n", err)
+	tgt, opts, err := compiler.Resolve(backend, compiler.Order{
+		Options: compiler.Options{Seed: *seed, SerialRouter: *serial, DenseMapper: *dense,
+			Exact: *exact, BudgetSeconds: *budget,
+			NoisyShots: noisyShots, NoiseSeed: *noiseSeed, NoiseScale: *noiseScale,
+			SampleBits: *sample, ShotOffset: *shotOffset},
+		Relax: *relax, SLM: *slm, AODs: *aods, AODSize: *aodSize, Family: *family, Zones: zones,
+	}, circ.Circ, nil)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "atomique: %v\n", err)
 		os.Exit(1)
 	}
 
@@ -263,16 +200,22 @@ func main() {
 	}
 	m := res.Metrics
 	coreRes, hasSchedule := res.Artifact.(*core.Result)
+	// The FPQA machine the compile ran on: the atomique backend uses cfg
+	// even for the auto target, and -viz and -json draw it. Other target
+	// kinds have none and print none.
+	cfg, _ := tgt.Hardware(circ.Circ.N)
 
 	fmt.Printf("backend          %s\n", res.Backend)
 	fmt.Printf("benchmark        %s (%d qubits, %d 2Q + %d 1Q gates)\n",
 		circ.Name, circ.Circ.N, circ.Circ.Num2Q(), circ.Circ.Num1Q())
 	switch {
 	case caps.Zoned:
+		// Resolve gives a zoned backend an auto or zoned target, both of
+		// which ZoneSetup materialises.
+		z, _, _ := tgt.ZoneSetup(circ.Circ.N)
 		fmt.Printf("machine          %dx%d storage + %d gate sites (zone gap %.0f um)\n",
-			zones.StorageRows, zones.StorageCols, zones.EntangleSites, zones.ZoneGap*1e6)
-	case caps.FPQA && (machineFlagSet || hasSchedule):
-		// The atomique backend compiles on cfg even for the auto target.
+			z.StorageRows, z.StorageCols, z.EntangleSites, z.ZoneGap*1e6)
+	case caps.FPQA && (tgt.Kind == compiler.KindFPQA || hasSchedule):
 		fmt.Printf("machine          %dx%d SLM + %d x %dx%d AOD\n",
 			cfg.SLM.Rows, cfg.SLM.Cols, len(cfg.AODs), cfg.AODs[0].Rows, cfg.AODs[0].Cols)
 	case caps.FPQA:

@@ -103,9 +103,9 @@ func main() {
 		admitSLO    = flag.Duration("admission-slo", 250*time.Millisecond, "interactive queue-wait objective for admission control")
 		queue       = flag.Int("queue", 64, "job queue capacity")
 		cache       = flag.Int("cache", 256, "result cache entries")
-		slm         = flag.Int("slm", 10, "default SLM array side length")
-		aods        = flag.Int("aods", 2, "default number of AOD arrays")
-		aodSize     = flag.Int("aodsize", 10, "default AOD array side length")
+		slm         = flag.Int("slm", 10, "default SLM array side length (0 = the paper's 10)")
+		aods        = flag.Int("aods", 2, "default number of AOD arrays (0 = the paper's 2)")
+		aodSize     = flag.Int("aodsize", 10, "default AOD array side length (0 = the paper's 10)")
 		opsAddr     = flag.String("ops-addr", "", "ops listen address for pprof + /metrics (empty = disabled)")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		traceBuffer = flag.Int("trace-buffer", 256, "finished traces kept for GET /v1/traces")
@@ -124,8 +124,10 @@ func main() {
 	}
 	logger := obs.NewLogger(os.Stderr, level)
 
-	hw := hardware.BuildConfig(*slm, *aods, *aodSize, hardware.NeutralAtom())
-	if err := hw.Validate(); err != nil {
+	// The flags take a request override's rule (0 keeps the paper's value),
+	// which caps -aods before it sizes the AOD list.
+	hw, err := hardware.DefaultConfig().Override(*slm, *aods, *aodSize)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "atomiqued: %v\n", err)
 		os.Exit(1)
 	}
@@ -200,7 +202,7 @@ func main() {
 		logger.Info("ops listener up", "addr", *opsAddr, "pprof", "/debug/pprof/", "metrics", "/metrics")
 	}
 	fmt.Printf("atomiqued: listening on %s (%dx%d SLM + %d x %dx%d AOD, queue %d, cache %d)\n",
-		*addr, *slm, *slm, *aods, *aodSize, *aodSize, *queue, *cache)
+		*addr, hw.SLM.Rows, hw.SLM.Cols, len(hw.AODs), hw.AODs[0].Rows, hw.AODs[0].Cols, *queue, *cache)
 	fmt.Printf("atomiqued: compile pipeline: %s (per-pass timings in GET /v1/stats)\n",
 		strings.Join(core.PassNames(), " -> "))
 	fmt.Printf("atomiqued: backends: %s (select via the request backend field)\n",

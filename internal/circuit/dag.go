@@ -1,5 +1,7 @@
 package circuit
 
+import "slices"
+
 // DAG is a dependency view of a circuit: gate i depends on gate j when they
 // share a qubit and j precedes i with no intervening gate on that qubit.
 // It is immutable once built; use NewFrontier for a consumable front-layer
@@ -7,15 +9,16 @@ package circuit
 type DAG struct {
 	circ *Circuit
 	succ [][]int
-	pred [][]int
+	// npred counts gate i's direct dependencies, once per shared qubit.
+	npred []int
 }
 
 // NewDAG builds the dependency DAG of c.
 func NewDAG(c *Circuit) *DAG {
 	d := &DAG{
-		circ: c,
-		succ: make([][]int, len(c.Gates)),
-		pred: make([][]int, len(c.Gates)),
+		circ:  c,
+		succ:  make([][]int, len(c.Gates)),
+		npred: make([]int, len(c.Gates)),
 	}
 	last := make([]int, c.N) // last gate index seen per qubit
 	for i := range last {
@@ -25,7 +28,7 @@ func NewDAG(c *Circuit) *DAG {
 		for _, q := range g.Qubits() {
 			if p := last[q]; p >= 0 {
 				d.succ[p] = append(d.succ[p], i)
-				d.pred[i] = append(d.pred[i], p)
+				d.npred[i]++
 			}
 			last[q] = i
 		}
@@ -38,9 +41,6 @@ func (d *DAG) Circuit() *Circuit { return d.circ }
 
 // Successors returns the gate indices that directly depend on gate i.
 func (d *DAG) Successors(i int) []int { return d.succ[i] }
-
-// Predecessors returns the gate indices gate i directly depends on.
-func (d *DAG) Predecessors(i int) []int { return d.pred[i] }
 
 // Frontier is a consumable traversal of a circuit DAG: Front returns the
 // currently independent ("frontier") gates, Execute retires one of them and
@@ -59,14 +59,13 @@ type Frontier struct {
 func NewFrontier(d *DAG) *Frontier {
 	f := &Frontier{
 		dag:    d,
-		indeg:  make([]int, len(d.circ.Gates)),
+		indeg:  slices.Clone(d.npred),
 		inFrnt: make([]bool, len(d.circ.Gates)),
 		done:   make([]bool, len(d.circ.Gates)),
 		left:   len(d.circ.Gates),
 	}
-	for i := range d.circ.Gates {
-		f.indeg[i] = len(d.pred[i])
-		if f.indeg[i] == 0 {
+	for i, n := range f.indeg {
+		if n == 0 {
 			f.front = append(f.front, i)
 			f.inFrnt[i] = true
 		}
@@ -107,6 +106,3 @@ func (f *Frontier) Execute(i int) {
 
 // Done reports whether every gate has been executed.
 func (f *Frontier) Done() bool { return f.left == 0 }
-
-// Remaining returns the count of unexecuted gates.
-func (f *Frontier) Remaining() int { return f.left }

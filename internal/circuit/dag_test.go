@@ -19,9 +19,6 @@ func TestDAGDependencies(t *testing.T) {
 	if got := d.Successors(1); len(got) != 2 {
 		t.Errorf("succ(1) = %v, want two entries", got)
 	}
-	if got := d.Predecessors(2); len(got) != 1 || got[0] != 1 {
-		t.Errorf("pred(2) = %v, want [1]", got)
-	}
 	if d.Circuit() != c {
 		t.Errorf("Circuit() did not return underlying circuit")
 	}
@@ -47,7 +44,7 @@ func TestFrontierTraversal(t *testing.T) {
 	f.Execute(2)
 	f.Execute(3)
 	if !f.Done() {
-		t.Fatalf("frontier not done, remaining=%d", f.Remaining())
+		t.Fatalf("frontier not done after all 4 gates, front = %v", f.Front())
 	}
 }
 

@@ -70,7 +70,7 @@ type Capabilities struct {
 	// register width (0 = 1: the witness adds no ancilla slots on the
 	// backend's canonical device). Q-Pilot's parity ladders run through one
 	// flying ancilla per two compute qubits, factor 1.5. Pre-compile width
-	// checks — the service's noisy-shot resolve guard — use it to reject
+	// checks — Resolve's noisy-shot guard — use it to reject
 	// trajectory simulations that cannot fit the dense replay before any
 	// compile work is spent.
 	WitnessQubitFactor float64 `json:"witnessQubitFactor,omitempty"`
@@ -157,9 +157,10 @@ type Options struct {
 }
 
 // ApplyRelax parses a comma-separated list of constraint IDs ("1", "2", "3",
-// per Fig 22) and sets the corresponding relaxation switches, mirroring
-// core.Options.ApplyRelax. Unknown or duplicate IDs are rejected with an
-// error naming the valid set. Empty entries (and an empty spec) are allowed.
+// per Fig 22) and sets the corresponding relaxation switches (RelaxAddressing,
+// RelaxOrder, RelaxOverlap), which the atomique backend passes on to
+// core.Options. Unknown or duplicate IDs are rejected with an error naming
+// the valid set. Empty entries (and an empty spec) are allowed.
 func (o *Options) ApplyRelax(spec string) error {
 	seen := [4]bool{}
 	for _, r := range strings.Split(spec, ",") {
@@ -263,7 +264,7 @@ func CheckSupport(name string, caps Capabilities, tgt Target, opts Options) erro
 
 // CheckWidth rejects an n-qubit circuit wider than the backend's declared
 // MaxQubits with *UnsupportedError. Every built-in adapter calls it on
-// entry, and the compile service calls it before it builds a target.
+// entry, and Resolve calls it before it builds a target.
 func CheckWidth(b Backend, n int) error {
 	if max := b.Capabilities().MaxQubits; n > max {
 		return &UnsupportedError{Backend: b.Name(), Feature: fmt.Sprintf("%d-qubit circuits (at most %d)", n, max)}

@@ -60,15 +60,9 @@ func (c *Coupling) computeDistances() {
 // Neighbors returns the qubits adjacent to v. Callers must not mutate it.
 func (c *Coupling) Neighbors(v int) []int { return c.adj[v] }
 
-// Adjacent reports whether a native two-qubit gate exists between a and b.
-func (c *Coupling) Adjacent(a, b int) bool {
-	for _, u := range c.adj[a] {
-		if u == b {
-			return true
-		}
-	}
-	return false
-}
+// Adjacent reports whether a native two-qubit gate exists between a and b:
+// the graph has no self-loops, so they are adjacent exactly at distance 1.
+func (c *Coupling) Adjacent(a, b int) bool { return c.dist[a][b] == 1 }
 
 // Distance returns the hop distance between a and b, or -1 if disconnected.
 func (c *Coupling) Distance(a, b int) int { return int(c.dist[a][b]) }

@@ -90,14 +90,47 @@ func DefaultConfig() Config {
 }
 
 // BuildConfig returns a machine with an slm x slm SLM and aods AOD arrays of
-// aodSize x aodSize, using parameters p. It is the shared constructor behind
-// the CLI/daemon machine flags and the service's per-request overrides.
+// aodSize x aodSize, using parameters p. It trusts its arguments; sizes from
+// user input go through Override.
 func BuildConfig(slm, aods, aodSize int, p Params) Config {
 	cfg := Config{SLM: ArraySpec{Rows: slm, Cols: slm}, Params: p}
 	for i := 0; i < aods; i++ {
 		cfg.AODs = append(cfg.AODs, ArraySpec{Rows: aodSize, Cols: aodSize})
 	}
 	return cfg
+}
+
+// Override returns c with a partial machine override applied and validated:
+// a non-zero slm makes the SLM slm x slm, aods sets the AOD count and aodSize
+// makes every AOD aodSize x aodSize; zero keeps c's value. Any override
+// rebuilds the AODs as copies of one array (c's first unless aodSize is set),
+// so a non-square SLM of c survives but heterogeneous AODs do not. The AOD
+// count is checked before it sizes the list, so no input sizes that
+// allocation.
+func (c Config) Override(slm, aods, aodSize int) (Config, error) {
+	if slm != 0 || aods != 0 || aodSize != 0 {
+		if slm != 0 {
+			c.SLM = ArraySpec{Rows: slm, Cols: slm}
+		}
+		var aod ArraySpec
+		if len(c.AODs) > 0 {
+			aod = c.AODs[0]
+		}
+		if aodSize != 0 {
+			aod = ArraySpec{Rows: aodSize, Cols: aodSize}
+		}
+		if aods == 0 {
+			aods = len(c.AODs)
+		}
+		if err := checkAODCount(aods); err != nil {
+			return Config{}, err
+		}
+		c.AODs = make([]ArraySpec, aods)
+		for i := range c.AODs {
+			c.AODs[i] = aod
+		}
+	}
+	return c, c.Validate()
 }
 
 // SquareConfig returns a machine with one SLM and numAODs AOD arrays, all
@@ -141,7 +174,7 @@ func (c Config) Validate() error {
 	if err := c.SLM.validate(); err != nil {
 		return fmt.Errorf("hardware: SLM %w", err)
 	}
-	if err := CheckAODCount(len(c.AODs)); err != nil {
+	if err := checkAODCount(len(c.AODs)); err != nil {
 		return err
 	}
 	for i, a := range c.AODs {
@@ -171,10 +204,9 @@ func (a ArraySpec) validate() error {
 	return nil
 }
 
-// CheckAODCount rejects an AOD-array count outside 1..maxAODs. Validate
-// applies it; a caller that builds the AOD list from untrusted input calls
-// it first, so the input cannot size the allocation.
-func CheckAODCount(n int) error {
+// checkAODCount rejects an AOD-array count outside 1..maxAODs. Validate
+// applies it, and Override applies it before it builds the AOD list.
+func checkAODCount(n int) error {
 	switch {
 	case n < 1:
 		return fmt.Errorf("hardware: at least one AOD array required")

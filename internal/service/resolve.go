@@ -11,8 +11,6 @@ import (
 	"atomique/internal/bench"
 	"atomique/internal/circuit"
 	"atomique/internal/compiler"
-	"atomique/internal/hardware"
-	"atomique/internal/noise"
 	"atomique/internal/qasm"
 )
 
@@ -20,8 +18,9 @@ import (
 // OpenQASM 2.0 source, plus the backend to compile with (default "atomique";
 // see GET /v1/backends), compile options, and a device override. FPQA
 // backends accept a machine override (any of SLM/AODs/AODSize set builds a
-// custom machine; unset fields keep the paper's defaults); fixed-topology
-// backends accept a coupling family instead.
+// custom machine; unset fields keep the engine's machine), fixed-topology
+// backends a coupling family and zoned backends zones; compiler.Resolve holds
+// the rules.
 type Request struct {
 	Benchmark string `json:"benchmark,omitempty"`
 	QASM      string `json:"qasm,omitempty"`
@@ -137,56 +136,22 @@ func (e *Engine) resolve(req Request) (task, error) {
 		return task{}, &RequestError{Msg: fmt.Sprintf("unknown backend %q (see GET /v1/backends; registered: %v)",
 			backendName, compiler.Names())}
 	}
-	// Before the target: default targets grow with the circuit.
-	if err := compiler.CheckWidth(be, circ.N); err != nil {
-		return task{}, &RequestError{Msg: err.Error()}
-	}
-
 	prio, err := parsePriority(req.Priority)
 	if err != nil {
 		return task{}, err
 	}
-
-	tgt, err := e.resolveTarget(be, req, circ)
+	tgt, opts, err := compiler.Resolve(be, compiler.Order{
+		Options: compiler.Options{Seed: req.Seed, SerialRouter: req.Serial, DenseMapper: req.Dense,
+			Exact: req.Exact, BudgetSeconds: req.Budget,
+			NoisyShots: req.Shots, NoiseSeed: req.NoiseSeed, NoiseScale: req.NoiseScale,
+			Noise1Q: req.Noise1Q, Noise2Q: req.Noise2Q, Engine: req.Engine,
+			SampleBits: req.Sample, ShotOffset: req.ShotOffset},
+		Relax: req.Relax, SLM: req.SLM, AODs: req.AODs, AODSize: req.AODSize,
+		Family: req.Family, Zones: req.Zones,
+	}, circ, &e.cfg.Hardware)
 	if err != nil {
-		return task{}, err
-	}
-
-	opts := compiler.Options{Seed: req.Seed, SerialRouter: req.Serial, DenseMapper: req.Dense,
-		Exact: req.Exact, BudgetSeconds: req.Budget,
-		NoisyShots: req.Shots, NoiseSeed: req.NoiseSeed, NoiseScale: req.NoiseScale,
-		Noise1Q: req.Noise1Q, Noise2Q: req.Noise2Q, Engine: req.Engine,
-		SampleBits: req.Sample, ShotOffset: req.ShotOffset}
-	if err := opts.Validate(); err != nil {
 		return task{}, &RequestError{Msg: err.Error()}
 	}
-	// A trajectory run the engine cannot take — an unknown engine,
-	// engine=stab on a non-Clifford circuit, a witness wider than the
-	// engine's cap — is guaranteed to fail after the compile, so reject it
-	// up front instead of burning a worker on it. WitnessWidth accounts for
-	// declared ancilla overhead (Q-Pilot's flying ancillas), and the source
-	// gates stand in for the witness's: backends preserve Cliffordness, which
-	// the conformance suite enforces. The engine option is normalised to the
-	// one that will actually run, so the cache keys on the resolved engine:
-	// "auto" (or empty) on a Clifford circuit and an explicit "stab" pin are
-	// the same computation and must share one cache entry — while "dense"
-	// and "stab" runs of the same circuit never alias.
-	if req.Shots > 0 {
-		w := be.Capabilities().WitnessWidth(circ.N)
-		if opts.Engine, err = noise.Dispatch(req.Engine, w, circ.Gates, noise.MaxStabQubits); err != nil {
-			return task{}, &RequestError{Msg: fmt.Sprintf("%v; backend %q compiles this %d-qubit circuit to a %d-slot witness", err, be.Name(), circ.N, w)}
-		}
-	}
-	if err := opts.ApplyRelax(req.Relax); err != nil {
-		return task{}, &RequestError{Msg: err.Error()}
-	}
-	// Options outside the backend's declared capabilities (exact/budget on a
-	// non-solver backend) are a client error, caught here rather than as a
-	// failed job.
-	if err := compiler.CheckSupport(be.Name(), be.Capabilities(), tgt, opts); err != nil {
-		return task{}, &RequestError{Msg: err.Error()}
-	}
-
 	return task{
 		label:   label,
 		hash:    hash,
@@ -198,107 +163,6 @@ func (e *Engine) resolve(req Request) (task, error) {
 		circ:    circ,
 		opts:    opts,
 	}, nil
-}
-
-// resolveTarget builds the device description a request compiles against:
-// FPQA backends get the engine's default machine with any per-request
-// override applied; fixed-topology backends get the requested coupling
-// family (or their own default). Options that do not apply to the selected
-// backend's target kind are rejected, not silently ignored.
-func (e *Engine) resolveTarget(be compiler.Backend, req Request, circ *circuit.Circuit) (compiler.Target, error) {
-	caps := be.Capabilities()
-	hasMachine := req.SLM != 0 || req.AODs != 0 || req.AODSize != 0
-	if req.Zones != nil && !caps.Zoned {
-		return compiler.Target{}, &RequestError{
-			Msg: fmt.Sprintf("backend %q does not compile zoned machines; zones applies only to zoned backends", be.Name())}
-	}
-	switch {
-	case caps.Zoned:
-		if hasMachine || req.Family != "" {
-			return compiler.Target{}, &RequestError{
-				Msg: fmt.Sprintf("backend %q compiles zoned machines; use zones instead of slm/aods/aodSize/family", be.Name())}
-		}
-		if req.Zones == nil {
-			return compiler.Target{}, nil // backend's default zones, grown to fit
-		}
-		tgt := compiler.Target{Kind: compiler.KindZoned, Zoned: req.Zones}
-		if err := tgt.Validate(); err != nil {
-			return compiler.Target{}, &RequestError{Msg: err.Error()}
-		}
-		if circ.N > req.Zones.Geometry.StorageCapacity() {
-			return compiler.Target{}, &RequestError{
-				Msg: fmt.Sprintf("circuit needs %d qubits, storage zone has %d sites",
-					circ.N, req.Zones.Geometry.StorageCapacity())}
-		}
-		return tgt, nil
-	case caps.FPQA:
-		if req.Family != "" {
-			return compiler.Target{}, &RequestError{
-				Msg: fmt.Sprintf("backend %q compiles FPQA machines; family applies only to fixed-topology backends", be.Name())}
-		}
-		cfg := e.cfg.Hardware
-		if req.SLM < 0 || req.AODs < 0 || req.AODSize < 0 {
-			// Zero means "keep the engine default", so only negatives are out.
-			return compiler.Target{}, &RequestError{Msg: "machine override values (slm, aods, aodSize) must be non-negative"}
-		}
-		if hasMachine {
-			// Partial overrides keep the engine default for unset dimensions
-			// (including a non-square configured SLM); overriding aodSize makes
-			// the AOD arrays homogeneous at that size.
-			slmSpec := cfg.SLM
-			if req.SLM > 0 {
-				slmSpec = hardware.ArraySpec{Rows: req.SLM, Cols: req.SLM}
-			}
-			var aodSpec hardware.ArraySpec
-			if len(cfg.AODs) > 0 {
-				aodSpec = cfg.AODs[0]
-			}
-			if req.AODSize > 0 {
-				aodSpec = hardware.ArraySpec{Rows: req.AODSize, Cols: req.AODSize}
-			}
-			aods := len(cfg.AODs)
-			if req.AODs > 0 {
-				aods = req.AODs
-			}
-			// Cap the count before it sizes the AOD list; Validate below
-			// caps the array sides.
-			if err := hardware.CheckAODCount(aods); err != nil {
-				return compiler.Target{}, &RequestError{Msg: err.Error()}
-			}
-			cfg = hardware.Config{SLM: slmSpec, Params: cfg.Params}
-			for i := 0; i < aods; i++ {
-				cfg.AODs = append(cfg.AODs, aodSpec)
-			}
-		}
-		if err := cfg.Validate(); err != nil {
-			return compiler.Target{}, &RequestError{Msg: err.Error()}
-		}
-		// Site capacity only bounds backends that place circuit qubits onto
-		// the machine's trap sites (routing backends). Q-Pilot-style
-		// backends take the target solely as a parameter source and lay out
-		// their own geometry, so the comparison would be wrong for them.
-		if caps.Routes && circ.N > cfg.Capacity() {
-			return compiler.Target{}, &RequestError{
-				Msg: fmt.Sprintf("circuit needs %d qubits, machine has %d sites", circ.N, cfg.Capacity()),
-			}
-		}
-		return compiler.FPQA(cfg), nil
-	case caps.Coupling:
-		if hasMachine {
-			return compiler.Target{}, &RequestError{
-				Msg: fmt.Sprintf("backend %q compiles fixed topologies; slm/aods/aodSize apply only to FPQA backends", be.Name())}
-		}
-		if req.Family == "" {
-			return compiler.Target{}, nil // backend's canonical device
-		}
-		tgt := compiler.Coupling(req.Family, 0)
-		if err := tgt.Validate(); err != nil {
-			return compiler.Target{}, &RequestError{Msg: err.Error()}
-		}
-		return tgt, nil
-	default:
-		return compiler.Target{}, &RequestError{Msg: fmt.Sprintf("backend %q declares no supported target kind", be.Name())}
-	}
 }
 
 // cacheKey derives the content-addressed key: backend name and circuit
