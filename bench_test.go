@@ -4,8 +4,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the full evaluation. Per-experiment notes and paper-vs-measured
-// values live in EXPERIMENTS.md.
+// reproduces the full evaluation. Where the paper reports a value, a table
+// note quotes it.
 package main
 
 import (

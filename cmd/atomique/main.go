@@ -85,6 +85,9 @@ func main() {
 			if caps.Coupling {
 				kinds += " coupling"
 			}
+			if caps.Zoned {
+				kinds += " zoned"
+			}
 			fmt.Printf("%-10s%-10s %s\n", b.Name(), kinds, caps.Description)
 		}
 		return

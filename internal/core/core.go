@@ -167,22 +167,6 @@ func mapQubitsToArrays(cfg hardware.Config, circ *circuit.Circuit, opts Options)
 	return graphs.MaxKCutGreedy(gf, k, caps)
 }
 
-// slotAssignment packs qubits into contiguous slot ranges per array: array a
-// owns slots [start_a, start_a + sizes_a).
-func slotAssignment(arrayOf []int, sizes []int) []int {
-	starts := make([]int, len(sizes))
-	for a := 1; a < len(sizes); a++ {
-		starts[a] = starts[a-1] + sizes[a-1]
-	}
-	next := append([]int(nil), starts...)
-	slotOf := make([]int, len(arrayOf))
-	for q, a := range arrayOf {
-		slotOf[q] = next[a]
-		next[a]++
-	}
-	return slotOf
-}
-
 // arrayOfSlot returns the array owning a slot given part sizes.
 func arrayOfSlot(slot int, sizes []int) int {
 	for a, s := range sizes {

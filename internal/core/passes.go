@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"atomique/internal/fidelity"
-	"atomique/internal/graphs"
 	"atomique/internal/metrics"
 	"atomique/internal/pipeline"
 	"atomique/internal/sabre"
@@ -46,12 +45,7 @@ func (p arrayMapPass) Name() string { return "map-arrays" }
 
 func (p arrayMapPass) Run(_ context.Context, st *pipeline.State) error {
 	st.ArrayOf = mapQubitsToArrays(st.Cfg, st.Circ, p.opts)
-	sizes := make([]int, st.Cfg.NumArrays())
-	for _, a := range st.ArrayOf {
-		sizes[a]++
-	}
-	st.Sizes = sizes
-	st.SlotOf = slotAssignment(st.ArrayOf, sizes)
+	st.Sizes, st.SlotOf = sabre.PackSlots(st.ArrayOf, st.Cfg.NumArrays())
 	return nil
 }
 
@@ -62,19 +56,10 @@ type swapInsertPass struct{ opts Options }
 func (p swapInsertPass) Name() string { return "route-interarray" }
 
 func (p swapInsertPass) Run(_ context.Context, st *pipeline.State) error {
-	mp := graphs.CompleteMultipartite(st.Sizes)
-	st.FinalSlotOf = st.SlotOf
 	if allInOneArray(st.Sizes) && st.Circ.Num2Q() > 0 {
 		return fmt.Errorf("core: all qubits mapped to one array; no couplings available")
 	}
-	if st.Circ.Num2Q() == 0 {
-		st.Routed = st.Circ.Remap(mp.N, st.SlotOf)
-		return nil
-	}
-	res := sabre.Route(st.Circ, mp, sabre.Options{
-		InitialMapping: st.SlotOf,
-		Seed:           p.opts.Seed,
-	})
+	res := sabre.RouteMultipartite(st.Circ, st.Sizes, st.SlotOf, p.opts.Seed)
 	st.Routed = res.Routed
 	st.SwapCount = res.SwapCount
 	st.FinalSlotOf = res.FinalMapping

@@ -28,11 +28,7 @@ func compileReference(cfg hardware.Config, circ *circuit.Circuit, opts Options) 
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	arrayOf := mapQubitsToArrays(cfg, circ, opts)
-	sizes := make([]int, cfg.NumArrays())
-	for _, a := range arrayOf {
-		sizes[a]++
-	}
-	slotOf := slotAssignment(arrayOf, sizes)
+	sizes, slotOf := sabre.PackSlots(arrayOf, cfg.NumArrays())
 	mp := graphs.CompleteMultipartite(sizes)
 	var routed *circuit.Circuit
 	var swaps int

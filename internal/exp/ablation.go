@@ -40,7 +40,7 @@ func gammaSweep() *report.Table {
 	cfg := hardware.DefaultConfig()
 	for _, gamma := range []float64{0.5, 0.8, 0.95, 1.0} {
 		for _, b := range suite {
-			m := mustAtomique(cfg, b.Circ, compiler.Options{Gamma: gamma, Seed: 1})
+			m := mustCompile("atomique", compiler.FPQA(cfg), b.Circ, compiler.Options{Gamma: gamma, Seed: 1}).Metrics
 			t.AddRow(fmt.Sprintf("%.2f", gamma), b.Name, m.SwapCount, m.N2Q,
 				fmt.Sprintf("%.3f", m.FidelityTotal()))
 		}

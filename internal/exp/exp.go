@@ -1,8 +1,8 @@
 // Package exp contains one driver per table and figure of the paper's
 // evaluation (Sec. V). Each driver regenerates the corresponding artifact as
-// plain-text tables from fixed seeds; EXPERIMENTS.md records paper-vs-
-// measured values. Run them via cmd/experiments or the bench harness in
-// bench_test.go.
+// plain-text tables from fixed seeds, compiling through the backend
+// registry; where the paper reports a value, a table note quotes it. Run
+// them via cmd/experiments or the bench harness in bench_test.go.
 package exp
 
 import (
@@ -65,35 +65,6 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// CompileFunc is the signature of an Atomique compilation path: it turns
-// (machine, circuit, options) into a metrics record.
-type CompileFunc func(cfg hardware.Config, c *circuit.Circuit, opts compiler.Options) (metrics.Compiled, error)
-
-// defaultCompiler compiles through the registered "atomique" backend.
-func defaultCompiler(cfg hardware.Config, c *circuit.Circuit, opts compiler.Options) (metrics.Compiled, error) {
-	res, err := mustBackend("atomique").Compile(context.Background(), compiler.FPQA(cfg), c, opts)
-	if err != nil {
-		return metrics.Compiled{}, err
-	}
-	return res.Metrics, nil
-}
-
-// atomiqueCompile is the path every driver funnels Atomique compilations
-// through. The default goes through the registry; SetCompiler swaps it.
-var atomiqueCompile CompileFunc = defaultCompiler
-
-// SetCompiler reroutes every Atomique compilation the drivers perform, e.g.
-// through the compile service's batch path (internal/service), whose
-// content-addressed cache dedupes the identical (circuit, config, options)
-// triples that recur across figure sweeps. Passing nil restores the direct
-// path. Not safe to call while drivers are running.
-func SetCompiler(fn CompileFunc) {
-	if fn == nil {
-		fn = defaultCompiler
-	}
-	atomiqueCompile = fn
-}
-
 // mustBackend resolves a registry backend; experiment inputs are fixed, so a
 // missing backend is a programming error worth a panic.
 func mustBackend(name string) compiler.Backend {
@@ -112,16 +83,6 @@ func mustCompile(name string, tgt compiler.Target, c *circuit.Circuit, opts comp
 		panic(fmt.Sprintf("exp: %s compile failed: %v", name, err))
 	}
 	return res
-}
-
-// mustAtomique compiles with Atomique on the given machine through the
-// swappable atomiqueCompile path.
-func mustAtomique(cfg hardware.Config, c *circuit.Circuit, opts compiler.Options) metrics.Compiled {
-	m, err := atomiqueCompile(cfg, c, opts)
-	if err != nil {
-		panic(fmt.Sprintf("exp: atomique compile failed: %v", err))
-	}
-	return m
 }
 
 // mustSabre compiles on a fixed baseline topology via the "sabre" backend.
@@ -156,7 +117,7 @@ func compileAll(c *circuit.Circuit, seed int64) map[string]metrics.Compiled {
 		}
 		out[an] = mustSabre(compiler.Coupling(family, 0), c, seed)
 	}
-	out["Atomique"] = mustAtomique(configFor(c.N), c, compiler.Options{Seed: seed})
+	out["Atomique"] = mustCompile("atomique", compiler.FPQA(configFor(c.N)), c, compiler.Options{Seed: seed}).Metrics
 	return out
 }
 

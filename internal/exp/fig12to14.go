@@ -106,15 +106,16 @@ func Fig14() []*report.Table {
 		AODs:   []hardware.ArraySpec{{Rows: 16, Cols: 16}},
 		Params: hardware.NeutralAtom(),
 	}
-	// The solver baselines run through the unified registry: exact mode is
-	// the Exact option, the greedy relaxation the default.
+	// All three compilers run on this machine through the registry; the
+	// solver's exact mode is the Exact option, the greedy relaxation the
+	// default.
 	tgt := compiler.FPQA(cfg)
 	var fids [3][]float64
 	for i, b := range bench.Fig14Suite() {
 		solver := mustCompile("solverref", tgt, b.Circ, compiler.Options{
 			Seed: int64(i), Exact: true, BudgetSeconds: Fig14Budget.Seconds()})
 		iterp := mustCompile("solverref", tgt, b.Circ, compiler.Options{Seed: int64(i)})
-		at := mustAtomique(cfg, b.Circ, coreOptions(int64(i)))
+		at := mustCompile("atomique", tgt, b.Circ, coreOptions(int64(i))).Metrics
 
 		fmtFid := func(r *compiler.Result) string {
 			if r.TimedOut {

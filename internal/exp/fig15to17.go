@@ -15,7 +15,7 @@ import (
 func sweepCompile(c *circuit.Circuit, seed int64) (n2q map[string]int, improv map[string]float64) {
 	rect := mustSabre(compiler.Coupling(compiler.FamilyRectangular, 0), c, seed)
 	tri := mustSabre(compiler.Coupling(compiler.FamilyTriangular, 0), c, seed)
-	at := mustAtomique(configFor(c.N), c, coreOptions(seed))
+	at := mustCompile("atomique", compiler.FPQA(configFor(c.N)), c, coreOptions(seed)).Metrics
 	n2q = map[string]int{
 		"FAA-Rectangular": rect.N2Q,
 		"FAA-Triangular":  tri.N2Q,

@@ -28,7 +28,7 @@ func fig18Row(t *report.Table, label string, mutate func(*hardware.Params)) fide
 	for _, b := range fig18Benchmarks() {
 		cfg := hardware.DefaultConfig()
 		mutate(&cfg.Params)
-		at := mustAtomique(cfg, b.Circ, coreOptions(1))
+		at := mustCompile("atomique", compiler.FPQA(cfg), b.Circ, coreOptions(1)).Metrics
 		// Coupling targets carry the mutated parameters to the baselines.
 		faaParams := hardware.NeutralAtom()
 		mutate(&faaParams)
@@ -142,7 +142,7 @@ func Fig19() []*report.Table {
 	}
 	var fa, fq []float64
 	for i, b := range suite {
-		at := mustAtomique(configFor(b.Circ.N), b.Circ, coreOptions(int64(i)))
+		at := mustCompile("atomique", compiler.FPQA(configFor(b.Circ.N)), b.Circ, coreOptions(int64(i))).Metrics
 		qp := mustCompile("qpilot", compiler.Target{}, b.Circ, coreOptions(int64(i))).Metrics
 		t.AddRow(b.Name, at.Depth2Q, qp.Depth2Q, at.N2Q, qp.N2Q,
 			fmt.Sprintf("%.3f", at.FidelityTotal()),
@@ -170,7 +170,7 @@ func fig20Row(t *report.Table, label string, cfg hardware.Config) {
 			t.AddRow(label, b.Name, "-", "-", "-", "-")
 			continue
 		}
-		m := mustAtomique(cfg, b.Circ, coreOptions(1))
+		m := mustCompile("atomique", compiler.FPQA(cfg), b.Circ, coreOptions(1)).Metrics
 		t.AddRow(label, b.Name,
 			fmt.Sprintf("%.4f", m.ExecutionTime),
 			fmt.Sprintf("%.3f", m.FidelityTotal()),
@@ -244,7 +244,7 @@ func Fig21() []*report.Table {
 		for _, c := range circuits {
 			opts := cc.opts
 			opts.Seed = 7
-			fids = append(fids, mustAtomique(cfg, c, opts).FidelityTotal())
+			fids = append(fids, mustCompile("atomique", compiler.FPQA(cfg), c, opts).Metrics.FidelityTotal())
 		}
 		g := metrics.GeoMean(fids)
 		if i == 0 {

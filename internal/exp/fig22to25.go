@@ -41,7 +41,7 @@ func Fig22() []*report.Table {
 			cfg := configFor(b.Circ.N)
 			opts := cc.opts
 			opts.Seed = 3
-			m := mustAtomique(cfg, b.Circ, opts)
+			m := mustCompile("atomique", compiler.FPQA(cfg), b.Circ, opts).Metrics
 			t.AddRow(cc.name, b.Name,
 				fmt.Sprintf("%.4f", m.TotalMoveDist),
 				m.Depth2Q,
@@ -80,7 +80,7 @@ func Fig23() []*report.Table {
 	}
 	for _, cc := range configs {
 		for _, b := range benchmarks {
-			m := mustAtomique(cc.cfg, b.Circ, coreOptions(3))
+			m := mustCompile("atomique", compiler.FPQA(cc.cfg), b.Circ, coreOptions(3)).Metrics
 			t.AddRow(cc.name, b.Name,
 				fmt.Sprintf("%.4f", m.TotalMoveDist),
 				m.N2Q, m.Depth2Q,
@@ -108,7 +108,7 @@ func Fig24() []*report.Table {
 	for _, size := range []int{6, 8, 10} {
 		cfg := hardware.SquareConfig(size, 2)
 		for _, b := range benchmarks {
-			m := mustAtomique(cfg, b.Circ, coreOptions(3))
+			m := mustCompile("atomique", compiler.FPQA(cfg), b.Circ, coreOptions(3)).Metrics
 			t.AddRow(fmt.Sprintf("%dx%d", size, size), b.Name,
 				fmt.Sprintf("%.4f", m.TotalMoveDist),
 				m.N2Q, m.Depth2Q,

@@ -33,7 +33,7 @@ func Scaling() []*report.Table {
 		cfg := configFor(n)
 
 		start := time.Now()
-		at := mustAtomique(cfg, c, coreOptions(1))
+		at := mustCompile("atomique", compiler.FPQA(cfg), c, coreOptions(1)).Metrics
 		atMS := float64(time.Since(start).Microseconds()) / 1000
 
 		iterp := mustCompile("solverref", compiler.Target{}, c, compiler.Options{Seed: 1})

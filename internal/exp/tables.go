@@ -102,7 +102,7 @@ func Table3() []*report.Table {
 	for _, b := range suite {
 		g := mustCompile("geyser", compiler.Target{}, b.Circ, coreOptions(1))
 		pulses := int(g.Extra["pulses"])
-		m := mustAtomique(cfg, b.Circ, coreOptions(1))
+		m := mustCompile("atomique", compiler.FPQA(cfg), b.Circ, coreOptions(1)).Metrics
 		ap := geyser.AtomiquePulses(m.N2Q)
 		t.AddRow(b.Name, pulses, ap, fmt.Sprintf("%.1fx", float64(pulses)/float64(ap)))
 	}

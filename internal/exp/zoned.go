@@ -40,7 +40,7 @@ func ZonedVsFlat() []*report.Table {
 	}
 	var fidsFlat, fidsZoned []float64
 	for _, b := range zonedSuite() {
-		flat := mustAtomique(configFor(b.Circ.N), b.Circ, compiler.Options{Seed: 7})
+		flat := mustCompile("atomique", compiler.FPQA(configFor(b.Circ.N)), b.Circ, compiler.Options{Seed: 7}).Metrics
 		zoned := mustCompile("zoned", compiler.Target{}, b.Circ, compiler.Options{Seed: 7}).Metrics
 		fidsFlat = append(fidsFlat, flat.FidelityTotal())
 		fidsZoned = append(fidsZoned, zoned.FidelityTotal())

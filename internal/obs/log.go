@@ -13,7 +13,7 @@ func NewLogger(w io.Writer, level slog.Level) *slog.Logger {
 }
 
 // DiscardLogger returns a logger that drops everything — the default for
-// in-process engines (tests, the experiment drivers) that did not opt in.
+// engines that did not opt in, such as the ones tests start.
 func DiscardLogger() *slog.Logger { return slog.New(slog.DiscardHandler) }
 
 // WithTrace returns l with the traceId attribute attached, so every line a

@@ -2,6 +2,7 @@ package sabre
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +103,37 @@ func TestRouteOnMultipartite(t *testing.T) {
 	c.CX(0, 1) // both in part 0 under identity mapping
 	r := Route(c, cg, Options{InitialMapping: []int{0, 1, 2, 3, 4, 5, 6, 7}})
 	validateRouting(t, c, cg, r)
+	if r.SwapCount != 1 {
+		t.Errorf("SwapCount = %d, want 1", r.SwapCount)
+	}
+}
+
+// TestPackSlotsAndRouteMultipartite: parts own contiguous slot ranges in
+// qubit order, a 2Q-free circuit is only relabelled, and a circuit with an
+// intra-part gate is routed on the multipartite coupling.
+func TestPackSlotsAndRouteMultipartite(t *testing.T) {
+	sizes, slotOf := PackSlots([]int{1, 0, 2, 1, 0}, 3)
+	if want := []int{2, 2, 1}; !slices.Equal(sizes, want) {
+		t.Fatalf("sizes = %v, want %v", sizes, want)
+	}
+	if want := []int{2, 0, 4, 3, 1}; !slices.Equal(slotOf, want) {
+		t.Fatalf("slotOf = %v, want %v", slotOf, want)
+	}
+
+	free := circuit.New(5)
+	free.H(2)
+	r := RouteMultipartite(free, sizes, slotOf, 1)
+	if r.SwapCount != 0 || !slices.Equal(r.FinalMapping, slotOf) {
+		t.Errorf("2Q-free circuit: %d swaps, final %v, want 0 and %v", r.SwapCount, r.FinalMapping, slotOf)
+	}
+	if g := r.Routed.Gates[0]; r.Routed.N != 5 || g.Q0 != 4 {
+		t.Errorf("2Q-free circuit: H on slot %d of %d, want slot 4 of 5", g.Q0, r.Routed.N)
+	}
+
+	c := circuit.New(5)
+	c.CX(1, 4) // both in part 0
+	r = RouteMultipartite(c, sizes, slotOf, 1)
+	validateRouting(t, c, graphs.CompleteMultipartite(sizes), r)
 	if r.SwapCount != 1 {
 		t.Errorf("SwapCount = %d, want 1", r.SwapCount)
 	}

@@ -3,17 +3,14 @@ package service
 import (
 	"container/list"
 	"sync"
-
-	"atomique/internal/metrics"
 )
 
-// outcome is a finished compilation: the metrics record, the pre-marshalled
-// result envelope (so repeated requests return byte-identical JSON), and the
-// compile error if any. timedOut marks a budget-bounded solver run that
-// exhausted its wall-clock budget; such outcomes are returned but never
-// cached (the timeout depends on machine load, not on the inputs).
+// outcome is a finished compilation: the pre-marshalled result envelope (so
+// repeated requests return byte-identical JSON) and the compile error if
+// any. timedOut marks a budget-bounded solver run that exhausted its
+// wall-clock budget; such outcomes are returned but never cached (the
+// timeout depends on machine load, not on the inputs).
 type outcome struct {
-	metrics  metrics.Compiled
 	json     []byte
 	err      error
 	timedOut bool

@@ -53,36 +53,6 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestFpMemoBounded: the fingerprint memo must evict once past its capacity
-// instead of pinning every circuit ever submitted, and stay stable for
-// repeated lookups of a live pointer.
-func TestFpMemoBounded(t *testing.T) {
-	var m fpMemo
-	m.init(8)
-	keep := circuit.New(2)
-	keep.H(0)
-	first := m.fingerprint(keep)
-	for i := 0; i < 64; i++ {
-		c := circuit.New(2)
-		c.H(0)
-		c.RZ(1, float64(i))
-		m.fingerprint(c)
-		// Touch the kept circuit so LRU retains it through the churn.
-		if got := m.fingerprint(keep); got != first {
-			t.Fatalf("fingerprint changed for same circuit: %q != %q", got, first)
-		}
-	}
-	if n := m.len(); n > 8 {
-		t.Errorf("memo grew to %d entries, capacity 8", n)
-	}
-	// The engine's memo must use the package bound.
-	e := New(Config{Workers: 1})
-	defer e.Close()
-	if e.fpMemo.cap != fpMemoLimit {
-		t.Errorf("engine memo capacity = %d, want %d", e.fpMemo.cap, fpMemoLimit)
-	}
-}
-
 // findTraceState scans the trace ring for a root span carrying the given
 // state attribute.
 func findTraceState(e *Engine, state string) bool {

@@ -30,7 +30,7 @@ type Request struct {
 	// Priority is the scheduling class: "interactive" (default) or
 	// "batch". Workers strictly prefer interactive jobs, and under load
 	// the admission controller sheds batch traffic first. The batch
-	// endpoint and the in-process experiments path default to "batch".
+	// endpoint defaults to "batch".
 	Priority string `json:"priority,omitempty"`
 
 	Seed   int64   `json:"seed,omitempty"`
@@ -109,7 +109,7 @@ func (e *Engine) resolve(req Request) (task, error) {
 		}
 		circ = b.Circ
 		label = b.Name
-		hash = e.fpMemo.fingerprint(circ)
+		hash = e.benchmarkFingerprint(b)
 	case req.QASM != "":
 		parsed, err := qasm.ParseString(req.QASM)
 		if err != nil {
@@ -163,6 +163,24 @@ func (e *Engine) resolve(req Request) (task, error) {
 		circ:    circ,
 		opts:    opts,
 	}, nil
+}
+
+// benchmarkFingerprint returns a named benchmark's circuit fingerprint,
+// hashing the shared registry circuit on its first request only. Two racing
+// first requests may both hash it; fingerprints are deterministic, so either
+// store is right.
+func (e *Engine) benchmarkFingerprint(b bench.Benchmark) string {
+	e.benchMu.Lock()
+	fp, ok := e.benchFP[b.Name]
+	e.benchMu.Unlock()
+	if ok {
+		return fp
+	}
+	fp = b.Circ.Fingerprint()
+	e.benchMu.Lock()
+	e.benchFP[b.Name] = fp
+	e.benchMu.Unlock()
+	return fp
 }
 
 // cacheKey derives the content-addressed key: backend name and circuit

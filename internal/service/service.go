@@ -5,9 +5,7 @@
 // content-addressed LRU result cache keyed on (backend, circuit fingerprint,
 // target, compile options). Backends are selected per request through the
 // unified registry (internal/compiler); GET /v1/backends lists them. The
-// HTTP/JSON API lives in http.go; the engine here is equally usable
-// in-process (cmd/experiments routes the figure drivers' compilations
-// through it to dedupe repeated sweeps).
+// HTTP/JSON API lives in http.go.
 package service
 
 import (
@@ -226,8 +224,7 @@ type job struct {
 	submitted  time.Time
 	finishedAt time.Time
 	// tracedJSON memoises the cached envelope bytes with this job's trace
-	// spliced in; built lazily on first snapshot that carries a result, so
-	// the in-process metrics path never pays for it.
+	// spliced in; built lazily on the first snapshot that carries a result.
 	tracedJSON []byte
 }
 
@@ -304,13 +301,11 @@ type Engine struct {
 	jobs     map[string]*job
 	finished []string // FIFO of finished job IDs, for pruning
 
-	// fpMemo caches circuit fingerprints keyed by circuit pointer, for
-	// named benchmarks (shared registry circuits) and CompileMetrics:
-	// in-process callers (the experiments batch path) resubmit the same few
-	// circuit objects thousands of times, and those circuits must be
-	// treated as immutable once submitted. Bounded (LRU) so long-running
-	// callers streaming fresh circuits cannot grow it without limit.
-	fpMemo fpMemo
+	// benchFP holds the fingerprints of named benchmarks, keyed by
+	// registry name and filled on first use; the registry is fixed, so it
+	// never grows past the suite.
+	benchMu sync.Mutex
+	benchFP map[string]string
 }
 
 // New starts an engine with cfg's worker pool running.
@@ -329,11 +324,11 @@ func newEngine(cfg Config, fn compileFunc) *Engine {
 		stop:    stop,
 		start:   time.Now(),
 		jobs:    make(map[string]*job),
+		benchFP: make(map[string]string),
 	}
 	for i := range e.queues {
 		e.queues[i] = make(chan *job, cfg.QueueSize)
 	}
-	e.fpMemo.init(fpMemoLimit)
 	e.tel = newTelemetry(e, cfg.Logger, cfg.TraceBuffer)
 	e.tel.traces.SetSampleRate(cfg.TraceSample)
 	e.benchInfos = computeBenchmarkInfos()
@@ -524,8 +519,8 @@ func (e *Engine) logJob(j *job, msg string, extra ...any) {
 }
 
 // submitBlocking enqueues a job, waiting for queue space until ctx or the
-// engine is done. The batch endpoint and in-process callers use it so a
-// burst larger than the queue is flow-controlled instead of rejected.
+// engine is done. The batch endpoint uses it so a burst larger than the
+// queue is flow-controlled instead of rejected.
 func (e *Engine) submitBlocking(ctx context.Context, t task) (*job, error) {
 	if !e.beginSubmit() {
 		return nil, ErrClosed
@@ -589,41 +584,6 @@ func (e *Engine) Compile(ctx context.Context, req Request) (*Job, error) {
 		return nil, err
 	}
 	return j, nil
-}
-
-// CompileMetrics is the in-process batch path: it runs one compilation of
-// the default (atomique) backend through the queue, worker pool, and cache,
-// returning the metrics record. cmd/experiments points the figure drivers
-// here so repeated sweeps over identical (circuit, config, options) triples
-// hit the cache. Jobs enter at batch priority: experiment sweeps must queue
-// behind interactive compiles, not starve them.
-func (e *Engine) CompileMetrics(ctx context.Context, cfg hardware.Config, circ *circuit.Circuit, opts compiler.Options) (metrics.Compiled, error) {
-	be, ok := compiler.Lookup(DefaultBackend)
-	if !ok {
-		return metrics.Compiled{}, fmt.Errorf("service: default backend %q not registered", DefaultBackend)
-	}
-	hash := e.fpMemo.fingerprint(circ)
-	tgt := compiler.FPQA(cfg)
-	t := task{label: "in-process", hash: hash, key: cacheKey(be.Name(), hash, tgt, opts),
-		class: classOf(opts), prio: admission.Batch,
-		backend: be, target: tgt, circ: circ, opts: opts}
-	j, err := e.submitBlocking(ctx, t)
-	if err != nil {
-		return metrics.Compiled{}, err
-	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		j.cancel()
-		return metrics.Compiled{}, ctx.Err()
-	}
-	j.mu.Lock()
-	out := j.out
-	j.mu.Unlock()
-	if out.err != nil {
-		return metrics.Compiled{}, out.err
-	}
-	return out.metrics, nil
 }
 
 // JobByID returns a job snapshot.
@@ -826,7 +786,7 @@ func (e *Engine) execute(ctx context.Context, t task) (out *outcome) {
 	if err != nil {
 		return &outcome{err: fmt.Errorf("service: encode result: %w", err)}
 	}
-	return &outcome{metrics: res.Metrics, json: js, timedOut: res.TimedOut}
+	return &outcome{json: js, timedOut: res.TimedOut}
 }
 
 // recordPasses folds one compilation's per-pass timings into the engine-wide

@@ -74,6 +74,37 @@ func TestCompileNamedBenchmark(t *testing.T) {
 	}
 }
 
+// TestBenchmarkFingerprint: a named-benchmark request carries the registry
+// circuit's fingerprint, on its first request, on a repeat (under another
+// spelling of the name) and on a second engine. Each engine hashes a registry
+// circuit once, on first use, and New hashes none.
+func TestBenchmarkFingerprint(t *testing.T) {
+	b, ok := bench.ByName("H2-4")
+	if !ok {
+		t.Fatal("H2-4 not registered")
+	}
+	want := b.Circ.Fingerprint()
+	for i := 0; i < 2; i++ {
+		e := New(Config{Workers: 1})
+		if n := len(e.benchFP); n != 0 {
+			t.Errorf("engine %d: New stored %d fingerprints, want 0", i, n)
+		}
+		for _, name := range []string{"H2-4", "h2-4"} {
+			j, err := e.Compile(context.Background(), Request{Benchmark: name, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.CircuitHash != want {
+				t.Errorf("engine %d, %q: circuitHash = %s, want %s", i, name, j.CircuitHash, want)
+			}
+		}
+		if len(e.benchFP) != 1 || e.benchFP[b.Name] != want {
+			t.Errorf("engine %d: %d fingerprints stored, %s = %q; want 1 and %s", i, len(e.benchFP), b.Name, e.benchFP[b.Name], want)
+		}
+		e.Close()
+	}
+}
+
 // TestPassTimingsInStatsAndEnvelope covers the pipeline instrumentation
 // end to end: a real compilation surfaces per-pass timings both in the
 // result envelope (metrics.passes) and in the engine-wide Stats aggregate,

@@ -105,38 +105,16 @@ func Compile(circ *circuit.Circuit, opts Options) (Result, error) {
 	}
 
 	// Step 2: SWAP insertion on the complete bipartite coupling.
-	sizes := []int{0, 0}
-	for _, p := range part {
-		sizes[p]++
-	}
+	sizes, slotOf := sabre.PackSlots(part, 2)
 	if sizes[0] == 0 || sizes[1] == 0 {
 		// Degenerate partition (no two-qubit gates): split arbitrarily.
 		for q := range part {
 			part[q] = q % 2
 		}
-		sizes = []int{0, 0}
-		for _, p := range part {
-			sizes[p]++
-		}
+		sizes, slotOf = sabre.PackSlots(part, 2)
 	}
-	slotOf := make([]int, circ.N)
-	next := []int{0, sizes[0]}
-	for q, p := range part {
-		slotOf[q] = next[p]
-		next[p]++
-	}
-	var routed *circuit.Circuit
-	finalSlotOf := slotOf
-	swaps := 0
-	if circ.Num2Q() > 0 {
-		res := sabre.Route(circ, graphs.CompleteMultipartite(sizes),
-			sabre.Options{InitialMapping: slotOf, Seed: opts.Seed})
-		routed = res.Routed
-		finalSlotOf = res.FinalMapping
-		swaps = res.SwapCount
-	} else {
-		routed = circ.Remap(circ.N, slotOf)
-	}
+	ins := sabre.RouteMultipartite(circ, sizes, slotOf, opts.Seed)
+	routed, swaps := ins.Routed, ins.SwapCount
 
 	// Step 3: placement + scheduling on the single-AOD machine.
 	sched, trace, stats, schedTimedOut := schedule(routed, sizes, opts, deadline)
@@ -176,7 +154,7 @@ func Compile(circ *circuit.Circuit, opts Options) (Result, error) {
 	if sched > 0 {
 		m.AvgMoveDist = stats.totalDist / float64(sched)
 	}
-	return Result{Metrics: m, Routed: routed, FinalSlotOf: finalSlotOf}, nil
+	return Result{Metrics: m, Routed: routed, FinalSlotOf: ins.FinalMapping}, nil
 }
 
 // exactMaxCut solves MAX-CUT by branch-and-bound: assign vertices in
