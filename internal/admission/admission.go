@@ -71,9 +71,13 @@ type Config struct {
 	// (default 0.3; higher reacts faster).
 	EWMAAlpha float64
 	// DefaultServiceSeconds seeds the per-job service-time estimate before
-	// the first completed jobs are observed (default 50ms).
+	// the first completed jobs are observed (default DefaultServiceSeconds).
 	DefaultServiceSeconds float64
 }
+
+// DefaultServiceSeconds is the per-job service time, 50 ms, assumed until
+// the controller has observed completed jobs.
+const DefaultServiceSeconds = 0.05
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
@@ -101,7 +105,7 @@ func (c Config) withDefaults() Config {
 		c.EWMAAlpha = 0.3
 	}
 	if c.DefaultServiceSeconds <= 0 {
-		c.DefaultServiceSeconds = 0.05
+		c.DefaultServiceSeconds = DefaultServiceSeconds
 	}
 	return c
 }
@@ -277,11 +281,13 @@ func (c *Controller) loop() {
 			return
 		case <-ticker.C:
 			tick := c.step(c.sampler.AdmissionSample())
-			c.gate.Store(&tick)
 			c.actuator.SetWorkerTarget(tick.Target)
+			// Observe before the gate takes effect, so a submission this
+			// tick sheds finds the decision already recorded.
 			if c.observer != nil {
 				c.observer(tick)
 			}
+			c.gate.Store(&tick)
 		}
 	}
 }

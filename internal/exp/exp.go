@@ -8,7 +8,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"atomique/internal/circuit"
 	"atomique/internal/compiler"
@@ -129,13 +128,3 @@ func configFor(n int) hardware.Config {
 
 // geoMeanColumn extracts a metric across rows and appends its geometric mean.
 func geoMeanColumn(vals []float64) float64 { return metrics.GeoMean(vals) }
-
-// sortedKeys returns map keys in sorted order for deterministic output.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

@@ -26,7 +26,7 @@ func Scaling() []*report.Table {
 	passes := &report.Table{
 		Title:  "Scaling: Atomique per-pass compile time (ms)",
 		Header: append([]string{"Qubits"}, core.PassNames()...),
-		Notes:  []string{"pipeline pass wall times from metrics.Passes; cache hits reuse the owner compilation's measurements"},
+		Notes:  []string{"pipeline pass wall times from metrics.Passes"},
 	}
 	for _, n := range []int{10, 20, 40, 60, 80, 100} {
 		c := bench.QAOARegular(n, 3, int64(n))

@@ -15,12 +15,3 @@ func NewLogger(w io.Writer, level slog.Level) *slog.Logger {
 // DiscardLogger returns a logger that drops everything — the default for
 // engines that did not opt in, such as the ones tests start.
 func DiscardLogger() *slog.Logger { return slog.New(slog.DiscardHandler) }
-
-// WithTrace returns l with the traceId attribute attached, so every line a
-// job's lifecycle emits carries its correlation key.
-func WithTrace(l *slog.Logger, traceID string) *slog.Logger {
-	if l == nil {
-		return DiscardLogger()
-	}
-	return l.With(slog.String("traceId", traceID))
-}

@@ -278,7 +278,8 @@ func (e *Engine) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // handleBatch compiles every request concurrently through the worker pool.
 // Enqueueing is flow-controlled (it waits for queue space rather than
 // rejecting), so one batch may be larger than the queue; items share the
-// cache, so duplicates inside a batch compile once.
+// cache, so duplicates inside a batch compile once. A client that
+// disconnects gives up every item it has not yet received.
 func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var breq batchRequest
 	if !decodeRequest(w, r, &breq) {
@@ -309,32 +310,33 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 		tasks[i] = t
 	}
 	jobs := make([]*job, 0, len(tasks))
-	// If the client disconnects (or a submit fails) mid-batch, cancel every
-	// job already admitted — nobody will read the results.
-	abandon := func() {
-		for _, j := range jobs {
-			j.cancel()
-		}
-	}
 	for _, t := range tasks {
-		j, err := e.submitBlocking(r.Context(), t)
+		j, err := e.enqueue(r.Context(), t, true)
 		if err != nil {
-			abandon()
+			// Nobody will read the results of the items already queued.
+			for _, j := range jobs {
+				e.abandon(j) //nolint:errcheck // a job that already finished has nothing to give up
+			}
 			writeError(w, err)
 			return
 		}
 		jobs = append(jobs, j)
 	}
 	resp := batchResponse{Jobs: make([]*Job, len(jobs))}
+	var gone error
 	for i, j := range jobs {
-		select {
-		case <-j.done:
-		case <-r.Context().Done():
-			abandon()
-			writeError(w, r.Context().Err())
-			return
+		// Once the client has disconnected, await gives up on every item
+		// still unfinished.
+		jv, err := e.await(r.Context(), j)
+		if err != nil {
+			gone = err
+			continue
 		}
-		resp.Jobs[i] = e.snapshot(j)
+		resp.Jobs[i] = jv
+	}
+	if gone != nil {
+		writeError(w, gone)
+		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

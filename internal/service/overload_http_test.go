@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -21,6 +23,86 @@ func newBlockingServer(t *testing.T, cfg Config) (*Engine, *blockingBackend, *ht
 		e.Close()
 	})
 	return e, backend, srv
+}
+
+// serveWatching serves a one-worker engine over a blocking backend and
+// signals on returned each time a request to path leaves the handler.
+func serveWatching(t *testing.T, path string) (*Engine, *blockingBackend, *httptest.Server, <-chan struct{}) {
+	t.Helper()
+	backend := newBlockingBackend()
+	e := newEngine(Config{Workers: 1, QueueSize: 8}, backend.compile)
+	t.Cleanup(e.Close)
+	returned := make(chan struct{}, 1)
+	h := e.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.URL.Path == path {
+			returned <- struct{}{}
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return e, backend, srv, returned
+}
+
+// postThenHangUp posts body under traceID, waits until the batch queue
+// holds depth jobs, then disconnects without reading a response.
+func postThenHangUp(t *testing.T, e *Engine, url, traceID string, body any, depth int) {
+	t.Helper()
+	js, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(js))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(TraceHeader, traceID)
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for e.Stats().QueueDepthBatch < depth {
+		if time.Now().After(deadline) {
+			t.Fatalf("batch queue depth %d, want %d", e.Stats().QueueDepthBatch, depth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-sent
+}
+
+// awaitReturn fails the test if the watched handler is still running long
+// after its client left: a hang guard, not a latency bound.
+func awaitReturn(t *testing.T, returned <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handler still blocked 10 s after its client disconnected")
+	}
+}
+
+// jobsByTrace snapshots every tracked job whose trace ID is traceID.
+func jobsByTrace(e *Engine, traceID string) []*Job {
+	e.mu.Lock()
+	var js []*job
+	for _, j := range e.jobs {
+		if j.trace.ID == traceID {
+			js = append(js, j)
+		}
+	}
+	e.mu.Unlock()
+	out := make([]*Job, len(js))
+	for i, j := range js {
+		out[i] = e.snapshot(j)
+	}
+	return out
 }
 
 // retryAfterSeconds parses the Retry-After header, failing on absence.
@@ -117,5 +199,34 @@ func TestBatchEndpointQueuesAtBatchPriority(t *testing.T) {
 	close(backend.release)
 	if code := <-batchDone; code != http.StatusOK {
 		t.Fatalf("batch status = %d, want 200", code)
+	}
+}
+
+// TestBatchAbandonCancelsQueuedJobs: a batch client that disconnects while
+// its items wait behind a busy worker gives every item up; each reads
+// "cancelled" at once rather than "queued".
+func TestBatchAbandonCancelsQueuedJobs(t *testing.T) {
+	e, backend, srv, returned := serveWatching(t, "/v1/compile/batch")
+	defer close(backend.release)
+	if _, err := e.Submit(context.Background(), Request{Benchmark: "H2-4", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-backend.started
+
+	postThenHangUp(t, e, srv.URL+"/v1/compile/batch", "batch-gone", batchRequest{Requests: []Request{
+		{Benchmark: "H2-4", Seed: 2}, {Benchmark: "H2-4", Seed: 3},
+	}}, 2)
+	awaitReturn(t, returned)
+	jobs := jobsByTrace(e, "batch-gone")
+	if len(jobs) != 2 {
+		t.Fatalf("found %d batch jobs, want 2", len(jobs))
+	}
+	for _, j := range jobs {
+		if j.State != StateCancelled {
+			t.Errorf("abandoned batch job %s reads %s, want cancelled", j.ID, j.State)
+		}
+	}
+	if st := e.Stats(); st.Cancelled != 2 {
+		t.Errorf("cancelled = %d after the abandon, want 2", st.Cancelled)
 	}
 }

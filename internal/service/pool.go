@@ -145,7 +145,7 @@ func (e *Engine) admit(p admission.Priority) admission.Decision {
 func (e *Engine) retryAfterEstimate() time.Duration {
 	svc := e.cfg.Admission.DefaultServiceSeconds
 	if svc <= 0 {
-		svc = 0.05
+		svc = admission.DefaultServiceSeconds
 	}
 	if e.ctrl != nil {
 		if t := e.ctrl.Last(); t.ServiceSeconds > 0 {

@@ -55,10 +55,11 @@ func (e *Engine) handleSample(w http.ResponseWriter, r *http.Request) {
 // The job goes through the same admission gate, priority queue, and worker
 // pool as everything else; the worker's emit callback writes record batches
 // straight to the response (the emitter in internal/noise serialises calls
-// and preserves global shot order). Client disconnect cancels the job
-// mid-run. Errors before the first record are proper HTTP error responses;
-// after the first record the status is already committed, so failures
-// surface as a final {"error": ...} line.
+// and preserves global shot order). A client that disconnects gives the job
+// up: the handler returns at once for a queued job, and for a running one
+// as soon as its sampler sees the cancellation. Errors before the first
+// record are proper HTTP error responses; after the first record the status
+// is already committed, so failures surface as a final {"error": ...} line.
 func (e *Engine) serveSampleStream(w http.ResponseWriter, r *http.Request, req Request) {
 	t, err := e.resolve(req)
 	if err != nil {
@@ -94,21 +95,20 @@ func (e *Engine) serveSampleStream(w http.ResponseWriter, r *http.Request, req R
 		}
 		return nil
 	}
-	j, err := e.submitResolved(ctx, t)
+	j, err := e.enqueue(ctx, t, false)
 	if err != nil {
 		w.Header().Del("Content-Type")
 		writeError(w, err)
 		return
 	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		// Client gone: cancel the job so the worker stops sampling, then
-		// wait for it to actually finish before touching the writer again.
-		j.cancel()
+	jv, err := e.await(ctx, j)
+	if err != nil {
+		// Client gone. await finished a queued job at once; a running one
+		// stops sampling once it sees the cancellation. Either way the
+		// worker is done with w when j.done closes.
 		<-j.done
+		return
 	}
-	jv := e.snapshot(j)
 	switch {
 	case jv.State == StateDone:
 		// Final line: the full result envelope (metrics + histogram), the

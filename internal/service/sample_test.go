@@ -295,3 +295,23 @@ func TestHTTPSampleStreamDisconnect(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleStreamDisconnectWhileQueued: a streaming client that disconnects
+// while its job waits behind a busy worker gets its handler back at once
+// (no waiting for a worker to reach the job), and the job reads cancelled.
+func TestSampleStreamDisconnectWhileQueued(t *testing.T) {
+	e, backend, srv, returned := serveWatching(t, "/v1/sample")
+	defer close(backend.release)
+	if _, err := e.Submit(context.Background(), Request{Benchmark: "H2-4", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-backend.started
+
+	postThenHangUp(t, e, srv.URL+"/v1/sample?stream=1", "stream-gone",
+		Request{QASM: ghzQASM, NoiseSeed: 8, Shots: 64}, 1)
+	awaitReturn(t, returned)
+	jobs := jobsByTrace(e, "stream-gone")
+	if len(jobs) != 1 || jobs[0].State != StateCancelled {
+		t.Fatalf("streamed job after disconnect: %+v, want one cancelled job", jobs)
+	}
+}

@@ -8,10 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"atomique/internal/admission"
 	"atomique/internal/circuit"
 	"atomique/internal/compiler"
 	"atomique/internal/obs"
@@ -234,34 +236,81 @@ func TestOpenMetricsNegotiation(t *testing.T) {
 	}
 }
 
-// TestShedMintsPinnedTrace: an admission shed leaves a root-only pinned
-// trace carrying the shed reason — evidence that survives success storms.
+// TestShedMintsPinnedTrace: an admission shed and a queue-full rejection
+// each mint a job and pin its trace with the state, priority, reason and
+// retry advice — overload evidence that survives success storms.
 func TestShedMintsPinnedTrace(t *testing.T) {
 	backend := newBlockingBackend()
-	e := newEngine(Config{Workers: 1, QueueSize: 1}, backend.compile)
+	// One worker and one-slot queues. Any batch backlog predicts a wait far
+	// past the objective, so the controller sheds batch traffic; interactive
+	// traffic never sheds on predicted wait.
+	e := newEngine(Config{Workers: 1, QueueSize: 1, Admission: admission.Config{
+		Enabled:               true,
+		Interval:              time.Millisecond,
+		TargetQueueWait:       time.Millisecond,
+		InteractiveSlack:      1e9,
+		DefaultServiceSeconds: 1000,
+	}}, backend.compile)
 	defer e.Close()
 	defer close(backend.release)
+	ctx := context.Background()
 
-	if _, err := e.Submit(context.Background(), Request{Benchmark: "H2-4", Seed: 1}); err != nil {
+	if _, err := e.Submit(ctx, Request{Benchmark: "H2-4", Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	<-backend.started
-	if _, err := e.Submit(context.Background(), Request{Benchmark: "H2-4", Seed: 2}); err != nil {
+	// A batch backlog queued past the gate, then a tick that saw it; stopping
+	// the loop keeps that gate in force.
+	backlog, err := e.resolve(Request{Benchmark: "H2-4", Seed: 2, Priority: PriorityBatch})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Queue full: the rejection is dropped through dropJob, which pins.
-	if _, err := e.Submit(context.Background(), Request{Benchmark: "H2-4", Seed: 3}); !errors.Is(err, ErrQueueFull) {
+	if _, err := e.enqueue(ctx, backlog, true); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for tk := e.admTick.Load(); tk == nil || !tk.ShedBatch || tk.ShedInteractive; tk = e.admTick.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("controller never shed batch traffic")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	e.ctrl.Stop()
+
+	var oe *OverloadedError
+	if _, err := e.Submit(ctx, Request{Benchmark: "H2-4", Seed: 3, Priority: PriorityBatch}); !errors.As(err, &oe) || oe.QueueFull {
+		t.Fatalf("err = %v, want an admission shed", err)
+	}
+	if _, err := e.Submit(ctx, Request{Benchmark: "H2-4", Seed: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Submit(ctx, Request{Benchmark: "H2-4", Seed: 5}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want queue full", err)
 	}
-	pinned := e.tel.traces.Pinned()
-	if len(pinned) == 0 {
-		t.Fatal("queue-full rejection left no pinned trace")
+
+	pinned := make(map[string]*obs.SpanSnapshot)
+	for _, tr := range e.tel.traces.Pinned() {
+		snap := tr.Root.Snapshot()
+		pinned[snap.Attrs["state"]] = snap
 	}
-	if st := pinned[0].Root.Snapshot().Attrs["state"]; st != "rejected" {
-		t.Errorf("pinned trace state = %q, want rejected", st)
+	for state, prio := range map[string]string{"shed": PriorityBatch, "rejected": PriorityInteractive} {
+		snap := pinned[state]
+		if snap == nil {
+			t.Errorf("no pinned trace with state %s", state)
+			continue
+		}
+		if snap.Name != "job" || snap.Attrs["job"] == "" {
+			t.Errorf("%s trace is not a job trace: name %q, attrs %v", state, snap.Name, snap.Attrs)
+		}
+		if snap.Attrs["priority"] != prio || snap.Attrs["reason"] == "" {
+			t.Errorf("%s trace attrs = %v, want priority %s and a reason", state, snap.Attrs, prio)
+		}
+		if secs, err := strconv.ParseFloat(snap.Attrs["retryAfterSeconds"], 64); err != nil || secs <= 0 {
+			t.Errorf("%s trace retryAfterSeconds = %q, want a positive number", state, snap.Attrs["retryAfterSeconds"])
+		}
 	}
-	if st := e.tel.traces.Stats(); st.Pins == 0 {
-		t.Errorf("trace stats count no pins: %+v", st)
+	if st := e.tel.traces.Stats(); st.Pins < 2 {
+		t.Errorf("trace stats count %d pins, want at least 2: %+v", st.Pins, st)
 	}
 }
 

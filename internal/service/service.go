@@ -5,7 +5,9 @@
 // content-addressed LRU result cache keyed on (backend, circuit fingerprint,
 // target, compile options). Backends are selected per request through the
 // unified registry (internal/compiler); GET /v1/backends lists them. The
-// HTTP/JSON API lives in http.go.
+// HTTP/JSON API lives in http.go. A job's life has one implementation per
+// stage: admit.go enqueues or rejects it, run.go computes it on a worker,
+// and publish.go finishes it, waits for it, gives it up and snapshots it.
 package service
 
 import (
@@ -15,7 +17,6 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,11 +25,9 @@ import (
 	"atomique/internal/circuit"
 	"atomique/internal/compiler"
 	"atomique/internal/hardware"
-	"atomique/internal/metrics"
 	"atomique/internal/noise"
 	"atomique/internal/obs"
 	"atomique/internal/obs/slo"
-	"atomique/internal/report"
 
 	_ "atomique/internal/compiler/backends" // register the built-in backends
 )
@@ -223,9 +222,6 @@ type job struct {
 	cached     bool
 	submitted  time.Time
 	finishedAt time.Time
-	// tracedJSON memoises the cached envelope bytes with this job's trace
-	// spliced in; built lazily on the first snapshot that carries a result.
-	tracedJSON []byte
 }
 
 // compileFunc is the engine's compilation seam; tests substitute it to
@@ -354,18 +350,6 @@ func newEngine(cfg Config, fn compileFunc) *Engine {
 	return e
 }
 
-// beginSubmit admits a submission while the engine is open. On success the
-// caller must call e.inFlight.Done() once its enqueue attempt is over.
-func (e *Engine) beginSubmit() bool {
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed.Load() {
-		return false
-	}
-	e.inFlight.Add(1)
-	return true
-}
-
 // Close stops the admission controller and the workers, cancels running
 // jobs, and fails queued ones.
 func (e *Engine) Close() {
@@ -405,101 +389,6 @@ func (e *Engine) Close() {
 	}
 }
 
-// newJob registers a queued job for a resolved task. callerCtx may carry a
-// client-chosen trace ID (X-Trace-Id, validated by the HTTP layer); otherwise
-// one is minted. The job's own context carries the trace root span, so every
-// instrumentation site downstream (cache lookup, pipeline passes, noise
-// trajectory) attaches to it without further plumbing.
-func (e *Engine) newJob(callerCtx context.Context, t task) *job {
-	tr := obs.NewTrace(obs.TraceIDFromContext(callerCtx), "job")
-	tr.Root.SetAttr("class", t.class)
-	tr.Root.SetAttr("benchmark", t.label)
-	if t.backend != nil {
-		tr.Root.SetAttr("backend", t.backend.Name())
-	}
-	ctx, cancel := context.WithCancel(obs.ContextWithSpan(e.ctx, tr.Root))
-	j := &job{
-		id:        fmt.Sprintf("job-%06d", e.seq.Add(1)),
-		task:      t,
-		ctx:       ctx,
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		trace:     tr,
-		state:     StateQueued,
-		submitted: time.Now(),
-	}
-	tr.Root.SetAttr("job", j.id)
-	e.mu.Lock()
-	e.jobs[j.id] = j
-	e.mu.Unlock()
-	return j
-}
-
-// Submit resolves and enqueues a job without waiting for it, failing fast
-// with an *OverloadedError (a 429 with computed Retry-After at the HTTP
-// layer) when the admission controller sheds the request's class or its
-// queue is at capacity. ctx is consulted only for a request-scoped trace ID
-// (obs.ContextWithTraceID); it does not bound the job's lifetime.
-func (e *Engine) Submit(ctx context.Context, req Request) (*Job, error) {
-	t, err := e.resolve(req)
-	if err != nil {
-		return nil, err
-	}
-	j, err := e.submitResolved(ctx, t)
-	if err != nil {
-		return nil, err
-	}
-	return e.snapshot(j), nil
-}
-
-// submitResolved enqueues an already-resolved task through the admission
-// gate, fail-fast. The streaming sample handler uses it directly so it can
-// attach its emit callback to the task before submission.
-func (e *Engine) submitResolved(ctx context.Context, t task) (*job, error) {
-	if !e.beginSubmit() {
-		return nil, ErrClosed
-	}
-	defer e.inFlight.Done()
-	// Admission gate: shed before the queue saturates. No job is minted for
-	// a shed, but a minimal root-only trace is pinned into the ring's
-	// reserved segment — shed storms are exactly the traffic a diagnostic
-	// bundle needs to show, and a storm of successes must not evict them.
-	if dec := e.admit(t.prio); !dec.Admit {
-		e.tel.admissionDecisions.With(t.prio.String(), admissionShed).Inc()
-		e.tel.requests.With(backendLabel(t), t.class, outcomeRejected).Inc()
-		tr := obs.NewTrace(obs.TraceIDFromContext(ctx), "shed")
-		tr.Root.SetAttr("state", "shed")
-		tr.Root.SetAttr("backend", backendLabel(t))
-		tr.Root.SetAttr("class", t.class)
-		tr.Root.SetAttr("priority", t.prio.String())
-		tr.Root.SetAttr("benchmark", t.label)
-		tr.Root.SetAttr("reason", dec.Reason)
-		tr.Root.SetAttr("retryAfterSeconds", strconv.FormatFloat(dec.RetryAfter.Seconds(), 'g', 4, 64))
-		tr.Root.End()
-		e.tel.traces.AddPinned(tr)
-		e.tel.log.Warn("job shed by admission control",
-			"backend", backendLabel(t), "class", t.class, "priority", t.prio.String(),
-			"benchmark", t.label, "retryAfter", dec.RetryAfter.Seconds())
-		return nil, &OverloadedError{RetryAfter: dec.RetryAfter, Reason: dec.Reason}
-	}
-	j := e.newJob(ctx, t)
-	select {
-	case e.queues[t.prio] <- j:
-		e.tel.admissionDecisions.With(t.prio.String(), admissionAdmitted).Inc()
-		e.logJob(j, "job queued")
-		return j, nil
-	default:
-		e.tel.admissionDecisions.With(t.prio.String(), admissionQueueFull).Inc()
-		e.tel.requests.With(backendLabel(t), t.class, outcomeRejected).Inc()
-		e.tel.log.Warn("job rejected: queue full",
-			"backend", backendLabel(t), "class", t.class, "priority", t.prio.String(),
-			"benchmark", t.label)
-		e.dropJob(j, "rejected")
-		return nil, &OverloadedError{RetryAfter: e.retryAfterEstimate(),
-			Reason: t.prio.String() + " queue full", QueueFull: true}
-	}
-}
-
 // backendLabel names a task's backend for metric labels.
 func backendLabel(t task) string {
 	if t.backend == nil {
@@ -509,415 +398,11 @@ func backendLabel(t task) string {
 }
 
 // logJob emits one structured lifecycle event correlated by trace ID.
-func (e *Engine) logJob(j *job, msg string, extra ...any) {
+func (e *Engine) logJob(j *job, level slog.Level, msg string, extra ...any) {
 	args := append([]any{
 		"job", j.id, "traceId", j.trace.ID,
 		"backend", backendLabel(j.task), "class", j.task.class,
 		"benchmark", j.task.label,
 	}, extra...)
-	e.tel.log.Info(msg, args...)
-}
-
-// submitBlocking enqueues a job, waiting for queue space until ctx or the
-// engine is done. The batch endpoint uses it so a burst larger than the
-// queue is flow-controlled instead of rejected.
-func (e *Engine) submitBlocking(ctx context.Context, t task) (*job, error) {
-	if !e.beginSubmit() {
-		return nil, ErrClosed
-	}
-	defer e.inFlight.Done()
-	j := e.newJob(ctx, t)
-	select {
-	case e.queues[t.prio] <- j:
-		e.tel.admissionDecisions.With(t.prio.String(), admissionAdmitted).Inc()
-		e.logJob(j, "job queued")
-		return j, nil
-	case <-ctx.Done():
-		e.dropJob(j, "abandoned")
-		return nil, ctx.Err()
-	case <-e.ctx.Done():
-		e.dropJob(j, "closed")
-		return nil, ErrClosed
-	}
-}
-
-// dropJob unregisters a job that never entered a queue, closing out its
-// trace into the ring's pinned segment: rejections are overload evidence,
-// which a flood of ordinary successes must not evict.
-func (e *Engine) dropJob(j *job, state string) {
-	j.cancel()
-	j.trace.Root.SetAttr("state", state)
-	j.trace.Root.End()
-	e.tel.traces.AddPinned(j.trace)
-	e.mu.Lock()
-	delete(e.jobs, j.id)
-	e.mu.Unlock()
-}
-
-// Wait blocks until the job finishes (or ctx is done) and returns its final
-// snapshot.
-func (e *Engine) Wait(ctx context.Context, id string) (*Job, error) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("service: unknown job %q", id)
-	}
-	select {
-	case <-j.done:
-		return e.snapshot(j), nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Compile is the synchronous path: resolve, enqueue (fail-fast), wait. If
-// the caller gives up before completion, the job is cancelled.
-func (e *Engine) Compile(ctx context.Context, req Request) (*Job, error) {
-	jv, err := e.Submit(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	j, err := e.Wait(ctx, jv.ID)
-	if err != nil {
-		e.Cancel(jv.ID) //nolint:errcheck // best-effort cleanup
-		return nil, err
-	}
-	return j, nil
-}
-
-// JobByID returns a job snapshot.
-func (e *Engine) JobByID(id string) (*Job, bool) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return e.snapshot(j), true
-}
-
-// Cancel requests cancellation of a queued or running job. It reports false
-// when the job is unknown and an error when it already finished.
-func (e *Engine) Cancel(id string) (bool, error) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
-	if !ok {
-		return false, nil
-	}
-	j.mu.Lock()
-	terminal := j.finalized
-	state := j.state
-	queued := j.state == StateQueued
-	j.mu.Unlock()
-	if terminal {
-		return true, fmt.Errorf("service: job %s already %s", id, state)
-	}
-	j.cancel()
-	if queued {
-		// Finish immediately so the caller observes "cancelled" rather than
-		// a stale "queued"; the worker that later pops the job finds it
-		// finalized and skips it.
-		e.finish(j, &outcome{err: fmt.Errorf("service: compilation cancelled: %w", context.Canceled)}, false)
-	}
-	return true, nil
-}
-
-// run executes one job: skip if already cancelled, then compute through the
-// cache (coalescing with any in-flight identical computation). A panic that
-// escapes the backend-level recovery in execute (engine bookkeeping, not
-// backend code) still fails only this job — the worker survives.
-func (e *Engine) run(j *job) {
-	if j.ctx.Err() != nil {
-		e.finish(j, &outcome{err: fmt.Errorf("service: compilation cancelled: %w", j.ctx.Err())}, false)
-		return
-	}
-	j.mu.Lock()
-	if j.finalized {
-		j.mu.Unlock()
-		return
-	}
-	j.state = StateRunning
-	waited := time.Since(j.submitted)
-	j.mu.Unlock()
-	e.tel.queueWait.ObserveExemplar(waited.Seconds(), j.trace.ID)
-	j.trace.Root.Record("queue.wait", j.submitted, waited)
-	defer func() {
-		if r := recover(); r != nil {
-			e.recordPanic("worker", r)
-			e.finish(j, &outcome{err: fmt.Errorf("service: worker panic: %v", r)}, false)
-		}
-	}()
-	out, cached := e.work(j)
-	e.finish(j, out, cached)
-}
-
-// work computes a job under the busy gauge. The gauge and the service-time
-// accounting are released on return — by defer, so on a panic too — which
-// is before run publishes the job: a waiter woken by finish never sees the
-// job still busy, and the admission model never reads a stale service time.
-func (e *Engine) work(j *job) (*outcome, bool) {
-	e.busy.Add(1)
-	start := time.Now()
-	defer func() {
-		e.busy.Add(-1)
-		e.busySeconds.Add(time.Since(start).Seconds())
-		e.executed.Add(1)
-	}()
-	return e.compute(j.ctx, j.task)
-}
-
-// compute returns the outcome for a task, via the cache when possible. The
-// first requester of a key owns the compilation; concurrent requesters wait
-// on its entry (counted as cache hits — no duplicate work happens). If an
-// owner is cancelled mid-compile, a live waiter retries and takes ownership.
-func (e *Engine) compute(ctx context.Context, t task) (*outcome, bool) {
-	// Streaming sample jobs bypass the cache entirely: their product is the
-	// live record stream, which only exists on this request's connection —
-	// neither serving a histogram from cache nor caching this run's would be
-	// the requested computation.
-	if t.emit != nil {
-		return e.execute(ctx, t), false
-	}
-	sp := obs.SpanFromContext(ctx)
-	for {
-		lookupStart := time.Now()
-		ent, hit := e.cache.getOrReserve(t.key)
-		if !hit {
-			e.tel.cacheEvents.With(cacheMiss).Inc()
-			if c := sp.Record("cache.lookup", lookupStart, time.Since(lookupStart)); c != nil {
-				c.SetAttr("outcome", cacheMiss)
-			}
-			out := e.execute(ctx, t)
-			e.cache.fulfill(ent, out)
-			if out.err != nil || out.timedOut {
-				// Errors are not cached: cancellations are caller-specific,
-				// and client errors are caught at resolve time (backend-side
-				// size limits still fail the individual job). Timed-out
-				// anytime-solver outcomes are not cached either — the
-				// timeout reflects wall-clock load, not the inputs, so a
-				// later identical request deserves a fresh attempt.
-				e.cache.drop(ent)
-			}
-			return out, false
-		}
-		// Distinguish a finished-entry hit from coalescing onto an identical
-		// in-flight compilation; the coalesce count is in addition to the hit
-		// recorded once the entry resolves.
-		lookupOutcome := cacheHit
-		select {
-		case <-ent.done:
-		default:
-			lookupOutcome = cacheCoalesce
-			e.tel.cacheEvents.With(cacheCoalesce).Inc()
-		}
-		if c := sp.Record("cache.lookup", lookupStart, time.Since(lookupStart)); c != nil {
-			c.SetAttr("outcome", lookupOutcome)
-		}
-		select {
-		case <-ent.done:
-			out := ent.out
-			if out.err != nil && (errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded)) && ctx.Err() == nil {
-				continue // the owner was cancelled, not us: take over
-			}
-			e.tel.cacheEvents.With(cacheHit).Inc()
-			return out, true
-		case <-ctx.Done():
-			return &outcome{err: fmt.Errorf("service: compilation cancelled: %w", ctx.Err())}, false
-		}
-	}
-}
-
-// execute runs the task's backend and packages the result envelope. A panic
-// in the backend (or the noise replay) is recovered here — inside the cache
-// ownership window, so the reserved entry is still fulfilled and coalesced
-// waiters are woken with the failure instead of hanging — and converted into
-// a failed outcome; the worker stays alive (atomique_panics_total counts it).
-func (e *Engine) execute(ctx context.Context, t task) (out *outcome) {
-	// The compile span wraps the backend run; the pipeline runner sees it via
-	// ctx and attaches one "pass:<name>" child per pass.
-	cspan := obs.SpanFromContext(ctx).StartChild("compile")
-	defer func() {
-		if r := recover(); r != nil {
-			cspan.End()
-			e.recordPanic("backend "+backendLabel(t), r)
-			out = &outcome{err: fmt.Errorf("service: backend %s panicked: %v", backendLabel(t), r)}
-		}
-	}()
-	cctx := ctx
-	if cspan != nil {
-		cspan.SetAttr("backend", backendLabel(t))
-		cctx = obs.ContextWithSpan(ctx, cspan)
-	}
-	res, err := e.compile(cctx, t.backend, t.target, t.circ, t.opts)
-	cspan.End()
-	if err != nil {
-		return &outcome{err: err}
-	}
-	e.recordPasses(res.Metrics.Passes)
-	// Noisy-shot requests replay the compiled program through the
-	// trajectory engine on the same worker; the estimate is deterministic
-	// per (options, seed), so the outcome stays cacheable. The trajectory
-	// engine hangs its witness-replay and chunk spans off the job root in
-	// ctx, as siblings of the compile span.
-	if t.emit != nil {
-		err = compiler.AttachSample(ctx, t.target, res, t.opts, t.emit)
-	} else {
-		err = compiler.AttachNoise(ctx, t.target, res, t.opts)
-	}
-	if err != nil {
-		return &outcome{err: err}
-	}
-	if t.opts.NoisyShots > 0 {
-		if t.opts.SampleBits {
-			e.tel.sampledShots.Add(float64(t.opts.NoisyShots))
-		} else {
-			e.tel.shots.Add(float64(t.opts.NoisyShots))
-		}
-	}
-	env := report.NewEnvelope(t.hash, res.Metrics)
-	env.Backend = res.Backend
-	env.Extra = res.Extra
-	env.TimedOut = res.TimedOut
-	env.Noise = res.Noise
-	env.Sample = res.Sample
-	js, err := env.EncodeJSON()
-	if err != nil {
-		return &outcome{err: fmt.Errorf("service: encode result: %w", err)}
-	}
-	return &outcome{json: js, timedOut: res.TimedOut}
-}
-
-// recordPasses folds one compilation's per-pass timings into the engine-wide
-// aggregate surfaced by Stats. Cache hits never reach here, so the aggregate
-// reflects compute actually spent.
-func (e *Engine) recordPasses(passes []metrics.PassTiming) {
-	if len(passes) == 0 {
-		return
-	}
-	e.tel.passRuns.Inc()
-	for _, p := range passes {
-		e.tel.passSeconds.With(p.Name).Add(p.Seconds)
-		e.tel.passLatency.With(p.Name).Observe(p.Seconds)
-	}
-}
-
-// finish moves a job to its terminal state and wakes waiters. It is
-// idempotent: a job cancelled while queued may be finished by Cancel and
-// again by the worker that later pops it from the queue.
-func (e *Engine) finish(j *job, out *outcome, cached bool) {
-	j.mu.Lock()
-	if j.finalized {
-		j.mu.Unlock()
-		return
-	}
-	j.finalized = true
-	// The outcome is counted as the state turns terminal, so a job seen
-	// finished through JobByID is already in Stats.
-	outcomeLabel := outcomeDone
-	switch {
-	case out.err == nil:
-		j.state = StateDone
-	case errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded):
-		j.state, outcomeLabel = StateCancelled, outcomeCancelled
-	default:
-		j.state, outcomeLabel = StateFailed, outcomeFailed
-	}
-	backend := backendLabel(j.task)
-	e.tel.requests.With(backend, j.task.class, outcomeLabel).Inc()
-	j.out = out
-	j.cached = cached
-	j.finishedAt = time.Now()
-	state := j.state
-	elapsed := j.finishedAt.Sub(j.submitted)
-	j.mu.Unlock()
-	j.cancel() // release the context resources
-
-	// Close out the trace and publish the observability record: latency
-	// histogram (successes only — cancellations would skew the percentiles
-	// the autoscaler feeds on, carrying this job's trace ID as an
-	// OpenMetrics exemplar), trace ring, log line. Retention is tiered:
-	// failures and slow-tail successes (over the class's current p99, once
-	// the histogram has enough mass to trust it) pin into the ring's
-	// reserved segment; ordinary successes take the sampling coin.
-	pin := state == StateFailed
-	if state == StateDone {
-		// Snapshot before observing so the job is not compared to a p99 that
-		// already includes it.
-		hist := e.tel.latency.With(backend, j.task.class)
-		if snap := hist.Snapshot(); snap.Count >= slowTailMinSamples &&
-			elapsed.Seconds() > snap.Quantile(0.99) {
-			pin = true
-			j.trace.Root.SetAttr("slowTail", "over-p99")
-		}
-		hist.ObserveExemplar(elapsed.Seconds(), j.trace.ID)
-	}
-	j.trace.Root.SetAttr("state", string(state))
-	j.trace.Root.SetAttr("cached", strconv.FormatBool(cached))
-	j.trace.Root.End()
-	if pin {
-		e.tel.traces.AddPinned(j.trace)
-	} else {
-		e.tel.traces.Add(j.trace)
-	}
-	if out.err != nil {
-		e.logJob(j, "job finished", "state", state, "seconds", elapsed.Seconds(),
-			"cached", cached, "error", out.err.Error())
-	} else {
-		e.logJob(j, "job finished", "state", state, "seconds", elapsed.Seconds(),
-			"cached", cached)
-	}
-
-	e.mu.Lock()
-	e.finished = append(e.finished, j.id)
-	for len(e.finished) > maxTrackedJobs {
-		delete(e.jobs, e.finished[0])
-		e.finished = e.finished[1:]
-	}
-	e.mu.Unlock()
-	// Wake the waiters last, so a caller that sees the job finished also
-	// sees its trace, outcome counter and latency sample.
-	close(j.done)
-}
-
-// snapshot renders a job's externally visible state.
-func (e *Engine) snapshot(j *job) *Job {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	v := &Job{
-		ID:          j.id,
-		State:       j.state,
-		TraceID:     j.trace.ID,
-		Benchmark:   j.task.label,
-		CircuitHash: j.task.hash,
-		Cached:      j.cached,
-		SubmittedAt: j.submitted,
-	}
-	if j.task.backend != nil {
-		v.Backend = j.task.backend.Name()
-	}
-	if !j.finishedAt.IsZero() {
-		t := j.finishedAt
-		v.FinishedAt = &t
-	}
-	if j.out != nil {
-		if j.out.err != nil {
-			v.Error = j.out.err.Error()
-		} else {
-			// Splice this job's trace into the (trace-free, byte-identical)
-			// cached envelope, once per job; a splice failure falls back to
-			// the raw cached bytes rather than failing the response.
-			if j.tracedJSON == nil {
-				j.tracedJSON = j.out.json
-				if j.finalized {
-					if spliced, err := report.WithTrace(j.out.json, j.trace.ID, j.trace.Root.Snapshot()); err == nil {
-						j.tracedJSON = spliced
-					}
-				}
-			}
-			v.Result = json.RawMessage(j.tracedJSON)
-		}
-	}
-	return v
+	e.tel.log.Log(context.Background(), level, msg, args...)
 }

@@ -64,39 +64,41 @@ func TestStatsCounters(t *testing.T) {
 	defer e.Close()
 	ctx := context.Background()
 
-	// enqueue bypasses the admission gate, so the set-up cannot be shed.
-	enqueue := func(seed int64, prio string) *job {
+	// enqueue resolves one job and enqueues it; a blocking enqueue bypasses
+	// the admission gate, so the set-up cannot be shed.
+	enqueue := func(seed int64, prio string, block bool) (*job, error) {
 		t.Helper()
 		tk, err := e.resolve(Request{Benchmark: "H2-4", Seed: seed, Priority: prio})
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := e.submitBlocking(ctx, tk)
+		return e.enqueue(ctx, tk, block)
+	}
+	setUp := func(seed int64, prio string) *job {
+		t.Helper()
+		j, err := enqueue(seed, prio, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return j
 	}
-	submit := func(seed int64, prio string) (*Job, error) {
-		return e.Submit(ctx, Request{Benchmark: "H2-4", Seed: seed, Priority: prio})
-	}
-	wait := func(id string, want State) {
+	wait := func(j *job, want State) {
 		t.Helper()
-		j, err := e.Wait(ctx, id)
+		jv, err := e.await(ctx, j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j.State != want {
-			t.Fatalf("job %s: state %s (%s), want %s", id, j.State, j.Error, want)
+		if jv.State != want {
+			t.Fatalf("job %s: state %s (%s), want %s", j.id, jv.State, jv.Error, want)
 		}
 	}
 
 	// Occupy both workers, then leave one batch job queued behind them.
-	owner := enqueue(seedOwner, PriorityInteractive)
-	other := enqueue(seedOther, PriorityInteractive)
+	owner := setUp(seedOwner, PriorityInteractive)
+	other := setUp(seedOther, PriorityInteractive)
 	<-started
 	<-started
-	queued := enqueue(seedPlain+100, PriorityBatch)
+	queued := setUp(seedPlain+100, PriorityBatch)
 
 	// Wait for a tick that saw the stable state (batch backlog, empty
 	// interactive queue), then stop the loop so that gate stays in force.
@@ -115,24 +117,24 @@ func TestStatsCounters(t *testing.T) {
 	// An admission shed, a cancellation while queued, and a queue-full
 	// rejection behind an interactive job that coalesces onto the owner.
 	var oe *OverloadedError
-	if _, err := submit(seedPlain+200, PriorityBatch); !errors.As(err, &oe) || oe.QueueFull {
+	if _, err := enqueue(seedPlain+200, PriorityBatch, false); !errors.As(err, &oe) || oe.QueueFull {
 		t.Fatalf("batch submission: err = %v, want an admission shed", err)
 	}
 	if ok, err := e.Cancel(queued.id); !ok || err != nil {
 		t.Fatalf("cancel queued: ok=%v err=%v", ok, err)
 	}
-	coalescer, err := submit(seedOwner, PriorityInteractive)
+	coalescer, err := enqueue(seedOwner, PriorityInteractive, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := submit(seedPlain+300, PriorityInteractive); !errors.Is(err, ErrQueueFull) {
+	if _, err := enqueue(seedPlain+300, PriorityInteractive, false); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submission to a full queue: err = %v, want ErrQueueFull", err)
 	}
 
 	// Freeing the second worker lets it pick up the coalescer, which joins
 	// the owner's in-flight compilation; releasing the owner finishes both.
 	close(releaseOther)
-	wait(other.id, StateDone)
+	wait(other, StateDone)
 	for e.tel.cacheEvents.With(cacheCoalesce).Value() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("coalescer never joined the owner's compilation")
@@ -140,8 +142,8 @@ func TestStatsCounters(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	close(releaseOwner)
-	wait(owner.id, StateDone)
-	wait(coalescer.ID, StateDone)
+	wait(owner, StateDone)
+	wait(coalescer, StateDone)
 
 	// A failure, a recovered panic, a miss and a plain hit.
 	for _, tc := range []struct {

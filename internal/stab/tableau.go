@@ -40,10 +40,9 @@ func (e *NonCliffordError) Error() string {
 }
 
 // Tableau is the packed stabilizer tableau of an n-qubit state. The zero
-// value is unusable; construct with New. Methods that mutate or measure use
-// internal scratch buffers and are not safe for concurrent use; concurrent
-// trajectory workers share a finished tableau read-only through Frame, which
-// carries its own scratch.
+// value is unusable; construct with New. Methods that mutate it are not safe
+// for concurrent use; concurrent trajectory workers share a finished tableau
+// read-only through Frame, which carries its own scratch.
 type Tableau struct {
 	n int // qubits
 	w int // words per row-indexed bitvector: ceil(2n/64)
@@ -54,11 +53,6 @@ type Tableau struct {
 	r    []uint64 // row signs: bit set ⇒ the generator carries -1
 
 	stabMask []uint64 // bits of the stabilizer rows n..2n-1
-
-	// measurement scratch (row-indexed): phase bitplanes + target mask
-	s0, s1, mbuf []uint64
-	// fold scratch (qubit-indexed)
-	px, pz []uint64
 }
 
 // New returns the tableau of |0…0⟩ over n qubits.
@@ -67,14 +61,11 @@ func New(n int) (*Tableau, error) {
 		return nil, fmt.Errorf("stab: unsupported qubit count %d (want 1..%d)", n, MaxQubits)
 	}
 	w := (2*n + 63) / 64
-	nw := (n + 63) / 64
 	t := &Tableau{
 		n: n, w: w,
 		x: make([][]uint64, n), z: make([][]uint64, n),
 		r:        make([]uint64, w),
 		stabMask: make([]uint64, w),
-		s0:       make([]uint64, w), s1: make([]uint64, w), mbuf: make([]uint64, w),
-		px: make([]uint64, nw), pz: make([]uint64, nw),
 	}
 	backing := make([]uint64, 2*n*w)
 	for q := 0; q < n; q++ {
