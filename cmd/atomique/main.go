@@ -54,9 +54,9 @@ func main() {
 		relax        = flag.String("relax", "", "comma-separated constraints to relax (1,2,3)")
 		exact        = flag.Bool("exact", false, "solver backends: exact (exponential) mode")
 		budget       = flag.Float64("budget", 0, "solver backends: compile budget in seconds (0 = default)")
-		noisy        = flag.Bool("noisy", false, "run Monte-Carlo trajectory noise estimation after compiling")
-		shots        = flag.Int("shots", 0, "noisy-simulation trajectory count (implies -noisy; 0 with -noisy = 2000)")
-		sample       = flag.Bool("sample", false, "sample measurement bitstrings instead of estimating fidelity (histogram over -shots, default 4096)")
+		noisy        = flag.Bool("noisy", false, fmt.Sprintf("run Monte-Carlo trajectory noise estimation after compiling (%d trajectories unless -shots is set, as POST /v1/simulate)", compiler.DefaultSimulateShots))
+		shots        = flag.Int("shots", 0, fmt.Sprintf("noisy-simulation trajectory count (implies -noisy; 0 with -noisy = %d)", compiler.DefaultSimulateShots))
+		sample       = flag.Bool("sample", false, fmt.Sprintf("sample measurement bitstrings instead of estimating fidelity (histogram over -shots, default %d)", compiler.DefaultSampleShots))
 		shotOffset   = flag.Int64("shotoffset", 0, "global index of the first sampled shot (-sample shard/resume support)")
 		noiseSeed    = flag.Int64("noiseseed", 0, "noisy-simulation sampling seed")
 		noiseScale   = flag.Float64("noisescale", 0, "multiply every noise-channel probability (0 = 1.0)")
@@ -161,10 +161,10 @@ func main() {
 	}
 	noisyShots := *shots
 	if noisyShots == 0 && *noisy {
-		noisyShots = 2000
+		noisyShots = compiler.DefaultSimulateShots
 	}
 	if noisyShots == 0 && *sample {
-		noisyShots = 4096
+		noisyShots = compiler.DefaultSampleShots
 	}
 	tgt, opts, err := compiler.Resolve(backend, compiler.Order{
 		Options: compiler.Options{Seed: *seed, SerialRouter: *serial, DenseMapper: *dense,

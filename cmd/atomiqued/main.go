@@ -9,7 +9,7 @@
 //	          [-admission-slo 250ms] [-slm 10] [-aods 2] [-aodsize 10]
 //	          [-ops-addr :8792] [-log-level info] [-trace-buffer 256]
 //	          [-trace-sample 1] [-slo-config slo.json] [-bundle-dir dir]
-//	          [-bundle-max 8] [-smoke]
+//	          [-bundle-max 8]
 //
 // -admission enables the saturation-aware admission controller: the worker
 // pool autoscales within [-workers-min, -workers-max] and submissions are
@@ -36,10 +36,7 @@
 //
 // -ops-addr starts a second listener with net/http/pprof under /debug/pprof/
 // and a /metrics mirror, so profiling and scraping need not share the API
-// port. -smoke boots the server on a loopback port, drives a compile and a
-// noisy simulate through it, validates the /metrics exposition (both classic
-// and OpenMetrics-with-exemplars forms), /v1/traces, /v1/slo, and a manual
-// flight-recorder bundle, and exits — the CI end-to-end check.
+// port.
 package main
 
 import (
@@ -103,17 +100,16 @@ func main() {
 		admitSLO    = flag.Duration("admission-slo", 250*time.Millisecond, "interactive queue-wait objective for admission control")
 		queue       = flag.Int("queue", 64, "job queue capacity")
 		cache       = flag.Int("cache", 256, "result cache entries")
-		slm         = flag.Int("slm", 10, "default SLM array side length (0 = the paper's 10)")
-		aods        = flag.Int("aods", 2, "default number of AOD arrays (0 = the paper's 2)")
-		aodSize     = flag.Int("aodsize", 10, "default AOD array side length (0 = the paper's 10)")
+		slm         = flag.Int("slm", 0, "default SLM array side length (0 = the paper's 10)")
+		aods        = flag.Int("aods", 0, "default number of AOD arrays (0 = the paper's 2)")
+		aodSize     = flag.Int("aodsize", 0, "default AOD array side length (0 = the paper's 10)")
 		opsAddr     = flag.String("ops-addr", "", "ops listen address for pprof + /metrics (empty = disabled)")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		traceBuffer = flag.Int("trace-buffer", 256, "finished traces kept for GET /v1/traces")
 		traceSample = flag.Float64("trace-sample", 1, "probability a fast successful trace enters the ring (errors, sheds, and slow-tail traces are always kept)")
 		sloConfig   = flag.String("slo-config", "", "JSON SLO config for the burn-rate engine (empty = default per-class objectives)")
-		bundleDir   = flag.String("bundle-dir", "", "flight-recorder bundle directory (empty = recorder disabled; -smoke defaults it to a temp dir)")
+		bundleDir   = flag.String("bundle-dir", "", "flight-recorder bundle directory (empty = recorder disabled)")
 		bundleMax   = flag.Int("bundle-max", 8, "diagnostic bundles kept on disk before the oldest is deleted")
-		smoke       = flag.Bool("smoke", false, "boot on a loopback port, self-check compile/simulate/metrics/traces/slo/bundles, exit")
 	)
 	flag.Parse()
 
@@ -140,17 +136,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	// The smoke check exercises the bundle endpoints, so it needs a recorder
-	// even when the caller did not pass -bundle-dir.
-	if *smoke && *bundleDir == "" {
-		dir, err := os.MkdirTemp("", "atomiqued-bundles-")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "atomiqued: %v\n", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(dir)
-		*bundleDir = dir
-	}
 
 	engine := service.New(service.Config{
 		Workers:     *workers,
@@ -170,15 +155,6 @@ func main() {
 		},
 	})
 	defer engine.Close()
-
-	if *smoke {
-		if err := runSmoke(engine, logger); err != nil {
-			fmt.Fprintf(os.Stderr, "atomiqued: smoke: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("atomiqued: smoke check passed")
-		return
-	}
 
 	srv := &http.Server{
 		Addr:              *addr,

@@ -295,8 +295,8 @@ func main() {
 }
 
 // scrapeOpenMetrics fetches /metrics with the OpenMetrics Accept header and
-// verifies the server's live exposition the same way the smoke check does:
-// strict parse, exemplars present, terminated by # EOF.
+// verifies the server's live exposition: strict parse, exemplars present,
+// terminated by # EOF.
 func scrapeOpenMetrics(client *http.Client, addr string) error {
 	req, err := http.NewRequest(http.MethodGet, addr+"/metrics", nil)
 	if err != nil {

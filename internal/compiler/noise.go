@@ -12,6 +12,15 @@ import (
 // larger ones.
 const MaxNoisyShots = 1 << 20
 
+// DefaultSimulateShots and DefaultSampleShots are the shot counts a noisy
+// simulation and a sampling run use when the caller leaves shots unset:
+// `atomique -noisy` and POST /v1/simulate, `atomique -sample` and POST
+// /v1/sample.
+const (
+	DefaultSimulateShots = 1024
+	DefaultSampleShots   = 4096
+)
+
 // AttachNoise runs the Monte-Carlo trajectory estimation for a completed
 // compilation when Options.NoisyShots is set, populating Result.Noise. The
 // noise model derives from the target's physical parameters and the

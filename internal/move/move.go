@@ -48,17 +48,6 @@ func Trajectory(d, t float64, n int) Profile {
 // Jerk returns the constant jerk required to traverse distance d in time t.
 func Jerk(d, t float64) float64 { return -12 * d / (t * t * t) }
 
-// PeakVelocity returns the maximum speed reached during the move (at t/2).
-func PeakVelocity(d, t float64) float64 { return 1.5 * d / t }
-
-// AverageSpeed returns d/t.
-func AverageSpeed(d, t float64) float64 {
-	if t == 0 {
-		return 0
-	}
-	return d / t
-}
-
 // DeltaNvib returns the vibrational-quantum-number increase for a single
 // movement of distance d (meters) over duration t (seconds):
 //
@@ -72,15 +61,4 @@ func DeltaNvib(d, t float64, p hardware.Params) float64 {
 	}
 	x := 6 * d / (p.Xzpf * p.Omega0 * p.Omega0 * t * t)
 	return 0.5 * x * x
-}
-
-// HopsBeforeThreshold returns how many hops of one site pitch an atom can
-// make before its n_vib crosses the given threshold (used in the Sec. IV
-// movement-vs-SWAP analysis).
-func HopsBeforeThreshold(threshold float64, p hardware.Params) int {
-	per := DeltaNvib(p.AtomDistance, p.TimePerMove, p)
-	if per <= 0 {
-		return int(^uint(0) >> 1)
-	}
-	return int(threshold / per)
 }

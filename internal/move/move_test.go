@@ -75,8 +75,8 @@ func TestTrajectoryBoundaryConditions(t *testing.T) {
 	}
 	// Peak velocity at midpoint equals 1.5 d/t.
 	mid := last / 2
-	if math.Abs(pr.Velocity[mid]-PeakVelocity(d, tm)) > 1e-9 {
-		t.Errorf("peak velocity = %v, want %v", pr.Velocity[mid], PeakVelocity(d, tm))
+	if want := 1.5 * d / tm; math.Abs(pr.Velocity[mid]-want) > 1e-9 {
+		t.Errorf("peak velocity = %v, want %v", pr.Velocity[mid], want)
 	}
 }
 
@@ -103,23 +103,5 @@ func TestTrajectoryMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAverageSpeed(t *testing.T) {
-	if got := AverageSpeed(15e-6, 300e-6); math.Abs(got-0.05) > 1e-12 {
-		t.Errorf("AverageSpeed = %v, want 0.05 m/s", got)
-	}
-	if AverageSpeed(1, 0) != 0 {
-		t.Errorf("zero-time speed should be 0")
-	}
-}
-
-func TestHopsBeforeThreshold(t *testing.T) {
-	p := hardware.NeutralAtom()
-	// Threshold 15 at ~0.0054 per hop: roughly 2700 hops.
-	hops := HopsBeforeThreshold(p.NvibCool, p)
-	if hops < 2000 || hops > 3500 {
-		t.Errorf("HopsBeforeThreshold = %d, want ~2700", hops)
 	}
 }

@@ -200,7 +200,7 @@ func TestLabelArityPanics(t *testing.T) {
 }
 
 // TestExpositionRoundTrip writes a populated registry and feeds the output
-// back through the strict parser — the same check the CI smoke job runs
+// back through the strict parser — the same check `loadgen -scrape` runs
 // against a live /metrics endpoint.
 func TestExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()

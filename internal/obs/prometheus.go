@@ -221,7 +221,7 @@ func validLabelName(s string) bool {
 // content, and bucket-line exemplars must carry a well-formed label set with
 // a valid trace_id, a float value no greater than the bucket's le bound, and
 // a float timestamp. Exemplars anywhere but a histogram bucket are rejected.
-// The CI smoke job and the obs tests both gate /metrics output through it.
+// `loadgen -scrape` and the obs tests both gate /metrics output through it.
 func ParseExposition(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

@@ -189,12 +189,4 @@ func emitLadder(out *circuit.Circuit, q0, q1, a int, theta float64) {
 	out.CX(q0, a)
 }
 
-// AvgParallelism reports interaction terms retired per ancilla wave.
-func AvgParallelism(m metrics.Compiled) float64 {
-	if m.MoveStages == 0 {
-		return 0
-	}
-	return float64(m.N2Q) / GatesPerTerm / float64(m.MoveStages)
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -18,9 +18,6 @@ func TestCompileBasics(t *testing.T) {
 	if m.Depth2Q == 0 || m.FidelityTotal() <= 0 || m.FidelityTotal() > 1 {
 		t.Errorf("implausible metrics: %+v", m)
 	}
-	if AvgParallelism(m) <= 0 {
-		t.Errorf("AvgParallelism = %v", AvgParallelism(m))
-	}
 }
 
 func TestFig19Ordering(t *testing.T) {

@@ -95,33 +95,3 @@ func pad(s string, w int) string {
 	}
 	return s + strings.Repeat(" ", w-len(s))
 }
-
-// Series is a named (x, y) sequence — a figure line rendered as text.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// ToTable converts aligned series sharing X values into a table.
-func ToTable(title, xLabel string, series []Series) *Table {
-	t := &Table{Title: title, Header: []string{xLabel}}
-	for _, s := range series {
-		t.Header = append(t.Header, s.Name)
-	}
-	if len(series) == 0 {
-		return t
-	}
-	for i := range series[0].X {
-		row := []string{format(series[0].X[i])}
-		for _, s := range series {
-			if i < len(s.Y) {
-				row = append(row, format(s.Y[i]))
-			} else {
-				row = append(row, "-")
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}

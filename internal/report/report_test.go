@@ -49,24 +49,6 @@ func TestFloatFormatting(t *testing.T) {
 	}
 }
 
-func TestToTable(t *testing.T) {
-	series := []Series{
-		{Name: "a", X: []float64{1, 2}, Y: []float64{10, 20}},
-		{Name: "b", X: []float64{1, 2}, Y: []float64{30}}, // short series pads with -
-	}
-	tbl := ToTable("s", "x", series)
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(tbl.Rows))
-	}
-	if tbl.Rows[1][2] != "-" {
-		t.Errorf("missing-point marker = %q", tbl.Rows[1][2])
-	}
-	empty := ToTable("e", "x", nil)
-	if len(empty.Rows) != 0 {
-		t.Errorf("empty series produced rows")
-	}
-}
-
 func TestRenderWithoutTitle(t *testing.T) {
 	tbl := &Table{Header: []string{"h"}}
 	tbl.AddRow("v")

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"strconv"
@@ -78,35 +79,26 @@ func (e *Engine) Compile(ctx context.Context, req Request) (*Job, error) {
 // skips the gate and waits for queue space until ctx or the engine is done,
 // so a burst larger than the queue is flow-controlled rather than rejected.
 func (e *Engine) enqueue(ctx context.Context, t task, block bool) (*job, error) {
-	e.closeMu.RLock()
-	if e.closed.Load() {
-		e.closeMu.RUnlock()
+	// A closed engine answers 503 before the gate could shed the request.
+	if e.queue.state().closed {
 		return nil, ErrClosed
 	}
-	e.inFlight.Add(1) // Close waits for this attempt before draining the queues
-	e.closeMu.RUnlock()
-	defer e.inFlight.Done()
 	j := e.newJob(ctx, t)
-	q := e.queues[t.prio]
-	if block {
-		select {
-		case q <- j:
-		case <-ctx.Done():
-			e.drop(j, "abandoned")
-			return nil, ctx.Err()
-		case <-e.ctx.Done():
-			e.drop(j, "closed")
-			return nil, ErrClosed
+	if !block {
+		if dec := e.admit(t.prio); !dec.Admit {
+			return nil, e.reject(j, &OverloadedError{RetryAfter: dec.RetryAfter, Reason: dec.Reason})
 		}
-	} else if dec := e.admit(t.prio); !dec.Admit {
-		return nil, e.reject(j, &OverloadedError{RetryAfter: dec.RetryAfter, Reason: dec.Reason})
-	} else {
-		select {
-		case q <- j:
-		default:
-			return nil, e.reject(j, &OverloadedError{RetryAfter: e.retryAfterEstimate(),
-				Reason: t.prio.String() + " queue full", QueueFull: true})
-		}
+	}
+	switch err := e.queue.push(ctx, j, block); {
+	case errors.Is(err, ErrQueueFull):
+		return nil, e.reject(j, &OverloadedError{RetryAfter: e.retryAfterEstimate(),
+			Reason: t.prio.String() + " queue full", QueueFull: true})
+	case errors.Is(err, ErrClosed):
+		e.drop(j, "closed")
+		return nil, err
+	case err != nil:
+		e.drop(j, "abandoned")
+		return nil, err
 	}
 	e.tel.admissionDecisions.With(t.prio.String(), admissionAdmitted).Inc()
 	e.logJob(j, slog.LevelInfo, "job queued")
@@ -133,7 +125,7 @@ func (e *Engine) reject(j *job, oe *OverloadedError) error {
 	return oe
 }
 
-// drop unregisters a job that never entered a queue, closing out its trace
+// drop unregisters a job that never entered the queue, closing out its trace
 // into the ring's pinned segment: a job turned away is overload evidence,
 // which a flood of ordinary successes must not evict.
 func (e *Engine) drop(j *job, state string) {

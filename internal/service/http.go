@@ -53,10 +53,6 @@ type benchmarkInfo struct {
 	N1Q     int    `json:"n1Q"`
 }
 
-// DefaultSimulateShots is the trajectory count POST /v1/simulate uses when a
-// request leaves shots unset.
-const DefaultSimulateShots = 1024
-
 // Handler returns the service's HTTP API:
 //
 //	POST   /v1/compile           compile one request (?async=1 to enqueue only)
@@ -270,7 +266,7 @@ func (e *Engine) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Shots == 0 {
-		req.Shots = DefaultSimulateShots
+		req.Shots = compiler.DefaultSimulateShots
 	}
 	e.serveCompile(w, r, req)
 }

@@ -198,8 +198,8 @@ func TestHTTPSimulateEndpoint(t *testing.T) {
 	if est == nil {
 		t.Fatal("simulate result carries no noise estimate")
 	}
-	if est.Shots != DefaultSimulateShots {
-		t.Errorf("shots = %d, want the %d default", est.Shots, DefaultSimulateShots)
+	if est.Shots != compiler.DefaultSimulateShots {
+		t.Errorf("shots = %d, want the %d default", est.Shots, compiler.DefaultSimulateShots)
 	}
 	if est.Analytic <= 0 || est.Survival <= 0 || est.Fidelity < est.Survival {
 		t.Errorf("implausible estimate %+v", est)

@@ -226,7 +226,8 @@ func TestBatchAbandonCancelsQueuedJobs(t *testing.T) {
 			t.Errorf("abandoned batch job %s reads %s, want cancelled", j.ID, j.State)
 		}
 	}
-	if st := e.Stats(); st.Cancelled != 2 {
-		t.Errorf("cancelled = %d after the abandon, want 2", st.Cancelled)
+	if st := e.Stats(); st.Cancelled != 2 || st.QueueDepthBatch != 0 {
+		t.Errorf("cancelled = %d, batch queue depth = %d after the abandon, want 2 and 0",
+			st.Cancelled, st.QueueDepthBatch)
 	}
 }

@@ -29,45 +29,15 @@ func parsePriority(s string) (admission.Priority, error) {
 	}
 }
 
-// spawnWorkers grows the pool to target under poolMu; used at construction
-// and by Resize.
-func (e *Engine) spawnLocked(n int) {
-	for i := 0; i < n; i++ {
-		quit := make(chan struct{})
-		e.quits = append(e.quits, quit)
-		e.wg.Add(1)
-		e.workersLive.Add(1)
-		go e.worker(quit)
-	}
-}
-
-// Resize sets the worker-pool target, clamped into [WorkersMin, WorkersMax].
-// Growth spawns workers immediately; shrinking retires the newest workers
-// gracefully — each finishes its current job before exiting (the live count
-// converges to the target as they drain). Returns the applied target.
+// Resize sets the worker-pool target, clamped into [WorkersMin, WorkersMax],
+// and returns it. Growth spawns workers immediately; shrinking retires them
+// gracefully, each after its current job (the live count converges to the
+// target as they drain). After Close the pool no longer changes.
 func (e *Engine) Resize(target int) int {
-	if target < e.cfg.WorkersMin {
-		target = e.cfg.WorkersMin
+	target = min(max(target, e.cfg.WorkersMin), e.cfg.WorkersMax)
+	for range e.queue.resize(target, &e.wg) {
+		go e.worker()
 	}
-	if target > e.cfg.WorkersMax {
-		target = e.cfg.WorkersMax
-	}
-	e.poolMu.Lock()
-	defer e.poolMu.Unlock()
-	if e.closed.Load() {
-		return int(e.workersTarget.Load())
-	}
-	cur := len(e.quits)
-	switch {
-	case target > cur:
-		e.spawnLocked(target - cur)
-	case target < cur:
-		for _, quit := range e.quits[target:] {
-			close(quit)
-		}
-		e.quits = e.quits[:target]
-	}
-	e.workersTarget.Store(int64(target))
 	return target
 }
 
@@ -77,14 +47,15 @@ func (e *Engine) SetWorkerTarget(n int) { e.Resize(n) }
 // AdmissionSample implements admission.Sampler: one consistent-enough view
 // of the queueing state for the control loop.
 func (e *Engine) AdmissionSample() admission.Snapshot {
+	qs := e.queue.state()
 	return admission.Snapshot{
 		Time:             time.Now(),
-		InteractiveDepth: len(e.queues[admission.Interactive]),
-		BatchDepth:       len(e.queues[admission.Batch]),
+		InteractiveDepth: qs.depth[admission.Interactive],
+		BatchDepth:       qs.depth[admission.Batch],
 		QueueCapacity:    e.cfg.QueueSize,
 		Busy:             int(e.busy.Load()),
-		Live:             int(e.workersLive.Load()),
-		Target:           int(e.workersTarget.Load()),
+		Live:             qs.live,
+		Target:           qs.target,
 		Admitted:         sum(e.tel.admissionDecisions, "", admissionAdmitted),
 		Executed:         e.executed.Load(),
 		BusySeconds:      e.busySeconds.Value(),
@@ -152,51 +123,20 @@ func (e *Engine) retryAfterEstimate() time.Duration {
 			svc = t.ServiceSeconds
 		}
 	}
-	live := int(e.workersLive.Load())
-	if live < 1 {
-		live = 1
-	}
-	depth := len(e.queues[admission.Interactive]) + len(e.queues[admission.Batch])
-	d := time.Duration(float64(depth+1) * svc / float64(live) * float64(time.Second))
+	qs := e.queue.state()
+	depth := qs.depth[admission.Interactive] + qs.depth[admission.Batch]
+	d := time.Duration(float64(depth+1) * svc / float64(max(qs.live, 1)) * float64(time.Second))
 	if d < 100*time.Millisecond {
 		d = 100 * time.Millisecond
 	}
 	return d
 }
 
-// worker drains the queues until retired (quit) or the engine stops.
-// Interactive jobs are strictly preferred: a ready interactive job is taken
-// before the scheduler ever considers the batch queue, so batch backlogs
-// cannot starve interactive compiles.
-func (e *Engine) worker(quit chan struct{}) {
+// worker runs the jobs the queue hands it until the queue retires it.
+func (e *Engine) worker() {
 	defer e.wg.Done()
-	defer e.workersLive.Add(-1)
-	for {
-		// Retirement and shutdown are only honoured between jobs: a retired
-		// worker drains its current job first (graceful drain).
-		select {
-		case <-e.ctx.Done():
-			return
-		case <-quit:
-			return
-		default:
-		}
-		select {
-		case j := <-e.queues[admission.Interactive]:
-			e.run(j)
-			continue
-		default:
-		}
-		select {
-		case <-e.ctx.Done():
-			return
-		case <-quit:
-			return
-		case j := <-e.queues[admission.Interactive]:
-			e.run(j)
-		case j := <-e.queues[admission.Batch]:
-			e.run(j)
-		}
+	for j := e.queue.pop(); j != nil; j = e.queue.pop() {
+		e.run(j)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"atomique/internal/circuit"
 	"atomique/internal/compiler"
 	"atomique/internal/metrics"
+	"atomique/internal/obs"
 )
 
 // stubResult is the canonical successful stub-backend payload.
@@ -206,22 +207,22 @@ func TestPoolResizeUnderLoad(t *testing.T) {
 		}(g)
 	}
 
-	waitLive := func(want int64) {
+	waitLive := func(want int) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if e.workersLive.Load() == want {
+			if e.Stats().Workers == want {
 				return
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		t.Fatalf("workersLive = %d, want %d", e.workersLive.Load(), want)
+		t.Fatalf("Stats().Workers = %d, want %d", e.Stats().Workers, want)
 	}
 	for _, target := range []int{8, 1, 6, 2} {
 		if applied := e.Resize(target); applied != target {
 			t.Fatalf("Resize(%d) applied %d", target, applied)
 		}
-		waitLive(int64(target))
+		waitLive(target)
 	}
 	// Clamping: targets outside [min, max] saturate.
 	if applied := e.Resize(100); applied != 8 {
@@ -238,6 +239,108 @@ func TestPoolResizeUnderLoad(t *testing.T) {
 	if st := e.Stats(); st.WorkersMin != 1 || st.WorkersMax != 8 || st.WorkersTarget != 1 {
 		t.Errorf("stats pool bounds = [%d,%d] target %d, want [1,8] target 1",
 			st.WorkersMin, st.WorkersMax, st.WorkersTarget)
+	}
+}
+
+// TestShrinkRetiresWorkersBetweenJobs: shrinking a busy pool retires no
+// worker mid-job; the surplus worker leaves once its job is done.
+func TestShrinkRetiresWorkersBetweenJobs(t *testing.T) {
+	backend := newBlockingBackend()
+	e := newEngine(Config{Workers: 2, WorkersMin: 1, WorkersMax: 2}, backend.compile)
+	defer e.Close()
+
+	var ids []string
+	for seed := int64(1); seed <= 2; seed++ {
+		j, err := e.Submit(context.Background(), Request{Benchmark: "H2-4", Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+		<-backend.started
+	}
+	e.Resize(1)
+	if st := e.Stats(); st.Workers != 2 || st.WorkersTarget != 1 {
+		t.Fatalf("workers = %d (target %d) with both busy, want 2 (target 1)", st.Workers, st.WorkersTarget)
+	}
+	close(backend.release)
+	for _, id := range ids {
+		waitState(t, e, id, StateDone)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for e.Stats().Workers != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers = %d once idle, want 1", e.Stats().Workers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestResizeRacingCloseLeavesNoWorker: a Resize racing Close either lands
+// first, and Close waits for the workers it started, or lands after, and
+// starts none. No worker outlives Close. Run with -race.
+func TestResizeRacingCloseLeavesNoWorker(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		e := newEngine(Config{Workers: 1, WorkersMin: 1, WorkersMax: 8}, defaultCompile)
+		var resizers sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			resizers.Add(1)
+			go func() {
+				defer resizers.Done()
+				for i := 0; i < 20; i++ {
+					e.Resize(1 + 7*(i%2))
+				}
+			}()
+		}
+		e.Close()
+		if n := e.Stats().Workers; n != 0 {
+			t.Fatalf("round %d: %d workers live after Close returned, want 0", round, n)
+		}
+		resizers.Wait()
+		if n := e.Stats().Workers; n != 0 {
+			t.Fatalf("round %d: %d workers live after Resize calls that lost to Close, want 0", round, n)
+		}
+	}
+}
+
+// TestCloseFailsQueuedAndBlockedJobs: Close fails the job still queued with
+// ErrClosed rather than running it, and a blocking batch enqueue waiting on
+// the full queue returns ErrClosed. Run with -race.
+func TestCloseFailsQueuedAndBlockedJobs(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		backend := newBlockingBackend()
+		e := newEngine(Config{Workers: 1, QueueSize: 1}, backend.compile)
+		ctx := context.Background()
+		if _, err := e.Submit(ctx, Request{Benchmark: "H2-4", Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		<-backend.started
+		queued, err := e.Submit(ctx, Request{Benchmark: "H2-4", Seed: 2, Priority: PriorityBatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk, err := e.resolve(Request{Benchmark: "H2-4", Seed: 3, Priority: PriorityBatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocked := make(chan error, 1)
+		go func() {
+			_, err := e.enqueue(obs.ContextWithTraceID(ctx, "blocked"), tk, true)
+			blocked <- err
+		}()
+		for len(jobsByTrace(e, "blocked")) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		e.Close()
+		if err := <-blocked; !errors.Is(err, ErrClosed) {
+			t.Fatalf("round %d: blocked batch enqueue returned %v, want ErrClosed", round, err)
+		}
+		if j, _ := e.JobByID(queued.ID); j.State != StateFailed || !strings.Contains(j.Error, ErrClosed.Error()) {
+			t.Fatalf("round %d: queued job after Close: %s %q, want failed with %q", round, j.State, j.Error, ErrClosed)
+		}
+		if n := len(backend.started); n != 0 {
+			t.Fatalf("round %d: %d queued jobs started, want 0", round, n)
+		}
+		close(backend.release)
 	}
 }
 

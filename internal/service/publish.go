@@ -11,16 +11,11 @@ import (
 	"atomique/internal/report"
 )
 
-// finish moves a job to its terminal state and wakes waiters. It is
-// idempotent: a job cancelled while queued may be finished by abandon and
-// again by the worker that later pops it from the queue.
+// finish moves a job to its terminal state and wakes waiters. It runs once
+// per job, called by whoever took the job out of the queue: the worker that
+// popped it, abandon, or Close.
 func (e *Engine) finish(j *job, out *outcome, cached bool) {
 	j.mu.Lock()
-	if j.finalized {
-		j.mu.Unlock()
-		return
-	}
-	j.finalized = true
 	// The outcome is counted as the state turns terminal, so a job seen
 	// finished through JobByID is already in Stats.
 	outcomeLabel := outcomeDone
@@ -102,22 +97,22 @@ func (e *Engine) await(ctx context.Context, j *job) (*Job, error) {
 	}
 }
 
-// abandon cancels a queued or running job. A queued job finishes as
-// cancelled at once, so every reader sees "cancelled" rather than a stale
-// "queued", and the worker that later pops it finds it finalized and skips
-// it; a running job finishes once its backend observes the cancellation.
-// It returns an error when the job already finished.
+// abandon cancels a queued or running job. A queued job leaves the queue,
+// freeing its slot, and finishes cancelled at once, so it never starts; a
+// running one finishes once its backend observes the cancellation. It
+// returns an error when the job already finished.
 func (e *Engine) abandon(j *job) error {
-	// Cancel before reading the state: a worker that takes j.mu after this
-	// read sees the cancellation and does not start the job.
-	j.cancel()
+	// Reading the state and cancelling under j.mu keeps j from finishing in
+	// between; run checks the cancellation under j.mu too, so a worker that
+	// popped j first either sees it or has marked j running.
 	j.mu.Lock()
-	terminal, state := j.finalized, j.state
+	state := j.state
+	j.cancel()
 	j.mu.Unlock()
-	if terminal {
+	if state != StateQueued && state != StateRunning {
 		return fmt.Errorf("service: job %s already %s", j.id, state)
 	}
-	if state == StateQueued {
+	if e.queue.remove(j) {
 		e.finish(j, cancelled(j.ctx.Err()), false)
 	}
 	return nil

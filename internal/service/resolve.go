@@ -43,7 +43,7 @@ type Request struct {
 	// Shots enables Monte-Carlo trajectory noise estimation (0 = off): the
 	// compiled program is replayed this many times under sampled noise and
 	// the empirical fidelity rides in the result envelope's "noise" field.
-	// POST /v1/simulate defaults it to DefaultSimulateShots. All noise
+	// POST /v1/simulate defaults it to compiler.DefaultSimulateShots. All noise
 	// options are part of the content-addressed cache key, so noisy and
 	// ideal results never alias.
 	Shots int `json:"shots,omitempty"`

@@ -17,18 +17,11 @@ func cancelled(err error) *outcome {
 	return &outcome{err: fmt.Errorf("service: compilation cancelled: %w", err)}
 }
 
-// run executes one job popped from a queue: skip it if it was cancelled or
-// already finished, compute it through the cache (coalescing with any
-// in-flight identical computation) under the busy gauge, then publish it.
+// run executes one job popped from the queue: unless it was given up after
+// the pop, compute it through the cache (coalescing with any in-flight
+// identical computation) under the busy gauge, then publish it.
 func (e *Engine) run(j *job) {
-	// The cancellation check shares j.mu with abandon's state read, so a job
-	// abandon finishes as queued never starts: once its done channel closes,
-	// no worker is computing it.
 	j.mu.Lock()
-	if j.finalized {
-		j.mu.Unlock()
-		return
-	}
 	if err := j.ctx.Err(); err != nil {
 		j.mu.Unlock()
 		e.finish(j, cancelled(err), false)

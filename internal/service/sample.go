@@ -4,13 +4,10 @@ import (
 	"encoding/json"
 	"net/http"
 
+	"atomique/internal/compiler"
 	"atomique/internal/noise"
 	"atomique/internal/obs"
 )
-
-// DefaultSampleShots is the shot count POST /v1/sample uses when a request
-// leaves shots unset.
-const DefaultSampleShots = 4096
 
 // handleSample is the measurement-sampling workload entry point: compile
 // (through the cache, like every job), then sample each trajectory's
@@ -34,7 +31,7 @@ func (e *Engine) handleSample(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Sample = true
 	if req.Shots == 0 {
-		req.Shots = DefaultSampleShots
+		req.Shots = compiler.DefaultSampleShots
 	}
 	if req.Priority == "" {
 		req.Priority = PriorityBatch

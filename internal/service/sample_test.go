@@ -314,4 +314,7 @@ func TestSampleStreamDisconnectWhileQueued(t *testing.T) {
 	if len(jobs) != 1 || jobs[0].State != StateCancelled {
 		t.Fatalf("streamed job after disconnect: %+v, want one cancelled job", jobs)
 	}
+	if d := e.Stats().QueueDepthBatch; d != 0 {
+		t.Errorf("batch queue depth = %d after the disconnect, want 0", d)
+	}
 }

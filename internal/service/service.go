@@ -6,8 +6,9 @@
 // target, compile options). Backends are selected per request through the
 // unified registry (internal/compiler); GET /v1/backends lists them. The
 // HTTP/JSON API lives in http.go. A job's life has one implementation per
-// stage: admit.go enqueues or rejects it, run.go computes it on a worker,
-// and publish.go finishes it, waits for it, gives it up and snapshots it.
+// stage: admit.go enqueues or rejects it, queue.go holds it until a worker
+// takes it, run.go computes it on a worker, and publish.go finishes it,
+// waits for it, gives it up and snapshots it.
 package service
 
 import (
@@ -217,7 +218,6 @@ type job struct {
 
 	mu         sync.Mutex
 	state      State
-	finalized  bool // finish already ran; later finish/run calls are no-ops
 	out        *outcome
 	cached     bool
 	submitted  time.Time
@@ -244,9 +244,8 @@ const slowTailMinSamples = 100
 // cache, job registry, and the admission control loop.
 type Engine struct {
 	cfg Config
-	// queues are the bounded per-priority job queues, indexed by
-	// admission.Priority; workers drain interactive strictly first.
-	queues  [2]chan *job
+	// queue holds the queued jobs and the worker pool's counts.
+	queue   *jobQueue
 	cache   *lruCache
 	compile compileFunc
 	// tel bundles the engine's observability surface: metrics registry
@@ -259,13 +258,6 @@ type Engine struct {
 	// admission controller's saturation model fits.
 	busySeconds obs.Counter
 	executed    atomic.Uint64
-
-	// poolMu guards quits, the adaptive pool's per-worker retirement
-	// channels; closing one retires that worker after its current job.
-	poolMu        sync.Mutex
-	quits         []chan struct{}
-	workersTarget atomic.Int64
-	workersLive   atomic.Int64
 
 	// ctrl is the admission control loop (nil when disabled); admTick
 	// holds its latest tick for gauges and /v1/stats.
@@ -280,18 +272,11 @@ type Engine struct {
 	// construction (the registry is immutable after init).
 	benchInfos []benchmarkInfo
 
-	ctx    context.Context
-	stop   context.CancelFunc
-	wg     sync.WaitGroup
-	start  time.Time
-	seq    atomic.Uint64
-	closed atomic.Bool
-	// closeMu orders submissions against Close: a submitter registers in
-	// inFlight under the read lock while the engine is open; Close flips
-	// closed under the write lock and then waits for inFlight, so every
-	// admitted job is either run by a worker or caught by Close's drain.
-	closeMu  sync.RWMutex
-	inFlight sync.WaitGroup
+	ctx   context.Context
+	stop  context.CancelFunc
+	wg    sync.WaitGroup // the workers
+	start time.Time
+	seq   atomic.Uint64
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -314,6 +299,7 @@ func newEngine(cfg Config, fn compileFunc) *Engine {
 	ctx, stop := context.WithCancel(context.Background())
 	e := &Engine{
 		cfg:     cfg,
+		queue:   newJobQueue(cfg.QueueSize),
 		cache:   newLRUCache(cfg.CacheSize),
 		compile: fn,
 		ctx:     ctx,
@@ -321,9 +307,6 @@ func newEngine(cfg Config, fn compileFunc) *Engine {
 		start:   time.Now(),
 		jobs:    make(map[string]*job),
 		benchFP: make(map[string]string),
-	}
-	for i := range e.queues {
-		e.queues[i] = make(chan *job, cfg.QueueSize)
 	}
 	e.tel = newTelemetry(e, cfg.Logger, cfg.TraceBuffer)
 	e.tel.traces.SetSampleRate(cfg.TraceSample)
@@ -338,10 +321,7 @@ func newEngine(cfg Config, fn compileFunc) *Engine {
 			e.recorder = rec
 		}
 	}
-	e.poolMu.Lock()
-	e.workersTarget.Store(int64(cfg.Workers))
-	e.spawnLocked(cfg.Workers)
-	e.poolMu.Unlock()
+	e.Resize(cfg.Workers)
 	if cfg.Admission.Enabled {
 		e.ctrl = admission.New(cfg.Admission, e, e, e.observeTick)
 		e.ctrl.Start()
@@ -353,37 +333,21 @@ func newEngine(cfg Config, fn compileFunc) *Engine {
 // Close stops the admission controller and the workers, cancels running
 // jobs, and fails queued ones.
 func (e *Engine) Close() {
-	e.closeMu.Lock()
-	already := e.closed.Swap(true)
-	e.closeMu.Unlock()
-	if already {
+	queued, ok := e.queue.close()
+	if !ok {
 		return
 	}
 	if e.ctrl != nil {
-		e.ctrl.Stop() // no more Resize calls from the control loop
+		e.ctrl.Stop()
 	}
 	if e.slo != nil {
 		e.slo.Stop() // no more evaluation ticks or recorder triggers
 	}
-	// Let any in-flight Resize finish its spawns before waiting on the
-	// pool; later Resize calls observe closed and no-op.
-	e.poolMu.Lock()
-	e.poolMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	e.stop()
-	e.wg.Wait()
-	e.inFlight.Wait()
-	// Workers are gone and no submitter is mid-enqueue; drain jobs still
-	// sitting in the queues.
-	for _, q := range e.queues {
-		for drained := false; !drained; {
-			select {
-			case j := <-q:
-				e.finish(j, &outcome{err: fmt.Errorf("service: %w", ErrClosed)}, false)
-			default:
-				drained = true
-			}
-		}
+	for _, j := range queued {
+		e.finish(j, &outcome{err: fmt.Errorf("service: %w", ErrClosed)}, false)
 	}
+	e.wg.Wait()
 	if e.recorder != nil {
 		e.recorder.Wait() // let an in-flight bundle capture complete
 	}

@@ -471,6 +471,41 @@ func TestJobCancellation(t *testing.T) {
 	}
 }
 
+// TestCancelledQueuedJobFreesSlot: cancelling the only queued job takes it
+// out of the queue, so the next fail-fast submission of its class gets the
+// slot, and the cancelled job never starts.
+func TestCancelledQueuedJobFreesSlot(t *testing.T) {
+	backend := newBlockingBackend()
+	e := newEngine(Config{Workers: 1, QueueSize: 1}, backend.compile)
+	defer e.Close()
+
+	running, err := e.Submit(context.Background(), Request{Benchmark: "H2-4", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-backend.started
+	queued, err := e.Submit(context.Background(), Request{Benchmark: "H2-4", Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := e.Cancel(queued.ID); !ok || err != nil {
+		t.Fatalf("cancel queued: ok=%v err=%v", ok, err)
+	}
+	if st := e.Stats(); st.QueueDepth != 0 {
+		t.Errorf("queue depth = %d after cancelling the only queued job, want 0", st.QueueDepth)
+	}
+	next, err := e.Submit(context.Background(), Request{Benchmark: "H2-4", Seed: 3})
+	if err != nil {
+		t.Fatalf("submit after the cancel: %v, want the freed slot", err)
+	}
+	close(backend.release)
+	waitState(t, e, running.ID, StateDone)
+	waitState(t, e, next.ID, StateDone)
+	if n := len(backend.started); n != 1 {
+		t.Errorf("%d compilations started after the first, want 1 (the cancelled job must not run)", n)
+	}
+}
+
 func TestCacheEviction(t *testing.T) {
 	e := New(Config{Workers: 2, CacheSize: 2})
 	defer e.Close()

@@ -55,7 +55,7 @@ func TestSoakAdaptiveBurst(t *testing.T) {
 			case <-watchStop:
 				return
 			case <-tick.C:
-				if cur := e.workersTarget.Load(); cur > maxTarget.Load() {
+				if cur := int64(e.Stats().WorkersTarget); cur > maxTarget.Load() {
 					maxTarget.Store(cur)
 				}
 			}
@@ -124,7 +124,7 @@ func TestSoakAdaptiveBurst(t *testing.T) {
 
 	// Phase 3 — recovery: with the load gone the target must damp back down.
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && e.workersTarget.Load() > 2 {
+	for time.Now().Before(deadline) && e.Stats().WorkersTarget > 2 {
 		time.Sleep(5 * time.Millisecond)
 	}
 	close(watchStop)
@@ -133,7 +133,7 @@ func TestSoakAdaptiveBurst(t *testing.T) {
 	if got := maxTarget.Load(); got < 3 {
 		t.Errorf("max workersTarget during burst = %d, want >= 3 (pool never scaled up)", got)
 	}
-	if got := e.workersTarget.Load(); got > 2 {
+	if got := e.Stats().WorkersTarget; got > 2 {
 		t.Errorf("workersTarget after recovery = %d, want <= 2 (pool never scaled down)", got)
 	}
 	if n := shedNoAdvice.Load(); n != 0 {
@@ -156,5 +156,5 @@ func TestSoakAdaptiveBurst(t *testing.T) {
 		t.Errorf("interactive p99 = %s under burst, want <= 400ms (admission failed to protect it)", p99)
 	}
 	t.Logf("soak: interactive n=%d p99=%s, shed=%d of %d batch sent, maxTarget=%d, finalTarget=%d",
-		len(durs), p99, shed.Load(), batchSent.Load(), maxTarget.Load(), e.workersTarget.Load())
+		len(durs), p99, shed.Load(), batchSent.Load(), maxTarget.Load(), e.Stats().WorkersTarget)
 }

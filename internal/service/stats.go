@@ -91,18 +91,19 @@ func (e *Engine) Stats() Stats {
 	e.tel.latency.Each(func(labels []string, h *obs.Histogram) {
 		latencies[labels[0]+"/"+labels[1]] = h.Quantiles()
 	})
+	qs := e.queue.state()
 	st := Stats{
 		PassSeconds:           passSeconds,
 		PassRuns:              uint64(e.tel.passRuns.Value()),
 		Latencies:             latencies,
-		Workers:               int(e.workersLive.Load()),
+		Workers:               qs.live,
 		WorkersBusy:           int(e.busy.Load()),
-		WorkersTarget:         int(e.workersTarget.Load()),
+		WorkersTarget:         qs.target,
 		WorkersMin:            e.cfg.WorkersMin,
 		WorkersMax:            e.cfg.WorkersMax,
 		QueueCapacity:         e.cfg.QueueSize,
-		QueueDepthInteractive: len(e.queues[admission.Interactive]),
-		QueueDepthBatch:       len(e.queues[admission.Batch]),
+		QueueDepthInteractive: qs.depth[admission.Interactive],
+		QueueDepthBatch:       qs.depth[admission.Batch],
 		Submitted:             sum(e.tel.admissionDecisions, "", admissionAdmitted),
 		Completed:             sum(e.tel.requests, "", "", outcomeDone),
 		Failed:                sum(e.tel.requests, "", "", outcomeFailed),

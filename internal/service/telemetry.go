@@ -131,23 +131,24 @@ func newTelemetry(e *Engine, logger *slog.Logger, traceBuffer int) *telemetry {
 	r.GaugeFunc("atomique_queue_depth",
 		"Jobs waiting in the bounded queues (both priority classes).",
 		func() float64 {
-			return float64(len(e.queues[admission.Interactive]) + len(e.queues[admission.Batch]))
+			qs := e.queue.state()
+			return float64(qs.depth[admission.Interactive] + qs.depth[admission.Batch])
 		})
 	r.GaugeFunc("atomique_queue_depth_interactive",
 		"Jobs waiting in the interactive queue.",
-		func() float64 { return float64(len(e.queues[admission.Interactive])) })
+		func() float64 { return float64(e.queue.state().depth[admission.Interactive]) })
 	r.GaugeFunc("atomique_queue_depth_batch",
 		"Jobs waiting in the batch queue.",
-		func() float64 { return float64(len(e.queues[admission.Batch])) })
+		func() float64 { return float64(e.queue.state().depth[admission.Batch]) })
 	r.GaugeFunc("atomique_queue_capacity",
 		"Capacity of each bounded priority queue.",
 		func() float64 { return float64(e.cfg.QueueSize) })
 	r.GaugeFunc("atomique_workers",
 		"Live workers in the adaptive pool (including draining retirees).",
-		func() float64 { return float64(e.workersLive.Load()) })
+		func() float64 { return float64(e.queue.state().live) })
 	r.GaugeFunc("atomique_workers_target",
 		"Worker-pool target set by Resize or the admission controller's actuator.",
-		func() float64 { return float64(e.workersTarget.Load()) })
+		func() float64 { return float64(e.queue.state().target) })
 	r.GaugeFunc("atomique_workers_busy",
 		"Workers currently executing a job.",
 		func() float64 { return float64(e.busy.Load()) })
