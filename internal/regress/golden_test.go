@@ -4,10 +4,11 @@
 // compiler backends and diffs the canonical result envelope (report.Envelope
 // with wall times zeroed) against checked-in goldens. The full corpus runs
 // on the default "atomique" backend; the QASM files additionally run on the
-// "qpilot" and "zoned" backends so non-core output is snapshot-protected
-// too. Any
-// refactor that changes compile output, however subtly, shows up as a
-// reviewable JSON diff. Refresh the goldens after an intentional change with
+// "qpilot" and "zoned" backends, and the generated benchmarks on "solverref"
+// and on the fixed-topology "sabre" and "geyser" baselines over every Fig 13
+// coupling family, so non-core output and baseline routing are
+// snapshot-protected too. Any refactor that changes compile output, however
+// subtly, shows up as a reviewable JSON diff. Refresh the goldens after an intentional change with
 //
 //	go test ./internal/regress -run TestGolden -update
 package regress
@@ -80,16 +81,22 @@ func corpus(t *testing.T) []corpusEntry {
 	return entries
 }
 
-// compileCanonical runs one corpus circuit through a registered backend
-// (auto target: the paper-default machine) and renders its canonical
+// compileCanonical runs one corpus circuit through a registered backend on
+// its auto target (the paper-default machine) and renders its canonical
 // envelope as indented JSON.
 func compileCanonical(t *testing.T, backend string, c *circuit.Circuit) []byte {
+	t.Helper()
+	return compileCanonicalOn(t, backend, compiler.Target{}, c)
+}
+
+// compileCanonicalOn is compileCanonical on an explicit target.
+func compileCanonicalOn(t *testing.T, backend string, tgt compiler.Target, c *circuit.Circuit) []byte {
 	t.Helper()
 	b, ok := compiler.Lookup(backend)
 	if !ok {
 		t.Fatalf("backend %q not registered", backend)
 	}
-	res, err := b.Compile(context.Background(), compiler.Target{}, c, compiler.Options{Seed: goldenSeed})
+	res, err := b.Compile(context.Background(), tgt, c, compiler.Options{Seed: goldenSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +169,32 @@ func TestGoldenZoned(t *testing.T) {
 		t.Run(e.name, func(t *testing.T) {
 			got := compileCanonical(t, "zoned", e.circ)
 			checkGolden(t, filepath.Join("testdata", "zoned-"+e.name+".golden.json"), got)
+		})
+	}
+}
+
+// TestGoldenBaselines snapshots the fixed-topology baselines, SABRE and
+// Geyser, on every Fig 13 coupling family, and the solver reference on its
+// auto target, over the generated corpus entries: SABRE's swap selection is
+// regression-protected on the sparse lattices as well as on Atomique's
+// multipartite graph.
+func TestGoldenBaselines(t *testing.T) {
+	for _, e := range corpus(t) {
+		if e.qasm {
+			continue
+		}
+		for _, backend := range []string{"sabre", "geyser"} {
+			for _, f := range compiler.Families() {
+				name := backend + "-" + f + "-" + e.name
+				t.Run(name, func(t *testing.T) {
+					got := compileCanonicalOn(t, backend, compiler.Coupling(f, 0), e.circ)
+					checkGolden(t, filepath.Join("testdata", name+".golden.json"), got)
+				})
+			}
+		}
+		t.Run("solverref-"+e.name, func(t *testing.T) {
+			got := compileCanonical(t, "solverref", e.circ)
+			checkGolden(t, filepath.Join("testdata", "solverref-"+e.name+".golden.json"), got)
 		})
 	}
 }
