@@ -223,22 +223,46 @@ func HeavyHex(n int) *Coupling {
 // parts of the given sizes: vertices in different parts are coupled, vertices
 // within a part are not. This is Atomique's abstract RAA coupling model —
 // part 0 is the SLM array, parts 1..m the AOD arrays.
+//
+// The graph is built in closed form, without an edge list or BFS: each
+// vertex's neighbours are every vertex of the other parts in ascending order
+// (shared by the part), the distance across parts is 1, and within a part it
+// is 2 when some other part is non-empty and -1 (disconnected) otherwise.
 func CompleteMultipartite(sizes []int) *Coupling {
-	n := 0
-	starts := make([]int, len(sizes))
-	for i, s := range sizes {
-		starts[i] = n
+	n, nonEmpty := 0, 0
+	for _, s := range sizes {
 		n += s
-	}
-	var edges []Edge
-	for i := 0; i < len(sizes); i++ {
-		for j := i + 1; j < len(sizes); j++ {
-			for a := starts[i]; a < starts[i]+sizes[i]; a++ {
-				for b := starts[j]; b < starts[j]+sizes[j]; b++ {
-					edges = append(edges, Edge{a, b})
-				}
-			}
+		if s > 0 {
+			nonEmpty++
 		}
 	}
-	return NewCoupling(n, edges)
+	within := int16(-1)
+	if nonEmpty >= 2 {
+		within = 2
+	}
+	c := &Coupling{N: n, adj: make([][]int, n), dist: make([][]int16, n)}
+	cells := make([]int16, n*n)
+	start := 0
+	for _, s := range sizes {
+		end := start + s
+		others := make([]int, 0, n-s)
+		for v := range n {
+			if v < start || v >= end {
+				others = append(others, v)
+			}
+		}
+		for v := start; v < end; v++ {
+			row := cells[v*n : (v+1)*n]
+			for u := range row {
+				row[u] = 1
+			}
+			for u := start; u < end; u++ {
+				row[u] = within
+			}
+			row[v] = 0
+			c.adj[v], c.dist[v] = others, row
+		}
+		start = end
+	}
+	return c
 }

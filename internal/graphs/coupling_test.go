@@ -2,6 +2,7 @@ package graphs
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -105,6 +106,50 @@ func TestCompleteMultipartite(t *testing.T) {
 	if g.NumEdges() != 12 {
 		t.Errorf("edges = %d, want 12", g.NumEdges())
 	}
+	// The closed form matches the BFS construction over the explicit edge
+	// list: same neighbour order, same distances. {3,0,2} has an empty part;
+	// {0,4} has one non-empty part, so its within-part distance is -1.
+	for _, sizes := range [][]int{{2, 2, 2}, {3, 0, 2}, {0, 4}, {1}, {}, {1, 1}, {5, 1, 3, 4}, {34, 33, 33}} {
+		got, want := CompleteMultipartite(sizes), multipartiteByEdges(sizes)
+		if got.N != want.N {
+			t.Fatalf("%v: N = %d, want %d", sizes, got.N, want.N)
+		}
+		for a := 0; a < want.N; a++ {
+			if !slices.Equal(got.Neighbors(a), want.Neighbors(a)) {
+				t.Fatalf("%v: Neighbors(%d) = %v, want %v", sizes, a, got.Neighbors(a), want.Neighbors(a))
+			}
+			for b := 0; b < want.N; b++ {
+				if got.Distance(a, b) != want.Distance(a, b) {
+					t.Fatalf("%v: Distance(%d,%d) = %d, want %d", sizes, a, b, got.Distance(a, b), want.Distance(a, b))
+				}
+			}
+		}
+	}
+	if d := CompleteMultipartite([]int{0, 4}).Distance(0, 1); d != -1 {
+		t.Errorf("single-part within distance = %d, want -1", d)
+	}
+}
+
+// multipartiteByEdges is the reference construction of CompleteMultipartite:
+// the explicit cross-part edge list through NewCoupling and its BFS.
+func multipartiteByEdges(sizes []int) *Coupling {
+	n := 0
+	starts := make([]int, len(sizes))
+	for i, s := range sizes {
+		starts[i] = n
+		n += s
+	}
+	var edges []Edge
+	for i := range sizes {
+		for j := i + 1; j < len(sizes); j++ {
+			for a := starts[i]; a < starts[i]+sizes[i]; a++ {
+				for b := starts[j]; b < starts[j]+sizes[j]; b++ {
+					edges = append(edges, Edge{a, b})
+				}
+			}
+		}
+	}
+	return NewCoupling(n, edges)
 }
 
 func TestNewCouplingDeduplicatesAndValidates(t *testing.T) {

@@ -15,7 +15,7 @@ package sabre
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"atomique/internal/circuit"
 	"atomique/internal/graphs"
@@ -74,7 +74,12 @@ func Route(c *circuit.Circuit, cg *graphs.Coupling, opts Options) Result {
 	if c.N > cg.N {
 		panic("sabre: circuit has more qubits than the device")
 	}
-	r := &router{c: c, cg: cg, opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}
+	r := &router{
+		c: c, cg: cg, opts: opts, rng: rand.New(rand.NewSource(opts.Seed)),
+		seen:    make([]int, len(c.Gates)),
+		frontAt: slices.Repeat([]int{-1}, cg.N),
+		extAt:   make([][]int, cg.N),
+	}
 
 	initial := opts.InitialMapping
 	if initial == nil {
@@ -85,11 +90,26 @@ func Route(c *circuit.Circuit, cg *graphs.Coupling, opts Options) Result {
 	return res
 }
 
+// router holds one Route call's state, including scratch that routeOnce,
+// extendedSet and pickSwap reuse across calls. Concurrent compiles each
+// build their own router, so they never share it.
 type router struct {
 	c    *circuit.Circuit
 	cg   *graphs.Coupling
 	opts Options
 	rng  *rand.Rand
+
+	ready   []int          // the frontier, copied while its gates execute
+	front2Q []circuit.Gate // the frontier's two-qubit gates
+	ext     []circuit.Gate // the extended set
+	queue   []int          // extendedSet's breadth-first queue
+	seen    []int          // extendedSet's visit stamp per gate
+	epoch   int            // the current extendedSet call's stamp
+	keys    []int          // candidate SWAPs (a,b), a < b, as a*N+b
+	frontAt []int          // the front gate at each physical qubit, or -1
+	extAt   [][]int        // the extended-set gates at each physical qubit
+	fsum    int            // front distance sum under the current mapping
+	esum    int            // extended-set distance sum
 }
 
 // refineInitialMapping runs SABRE's reverse-traversal refinement: route the
@@ -176,7 +196,8 @@ func (r *router) routeOnce(c *circuit.Circuit, l2p []int) Result {
 		progress := true
 		for progress {
 			progress = false
-			for _, gi := range append([]int(nil), front.Front()...) {
+			r.ready = append(r.ready[:0], front.Front()...)
+			for _, gi := range r.ready {
 				g := front.Gate(gi)
 				if !g.IsTwoQubit() {
 					out.Add1Q(g.Op, l2p[g.Q0], g.Param)
@@ -198,7 +219,7 @@ func (r *router) routeOnce(c *circuit.Circuit, l2p []int) Result {
 			break
 		}
 
-		front2Q := frontTwoQubit(front)
+		front2Q := r.frontTwoQubit(front)
 		if stalled >= stallLimit {
 			g := closestGate(cg, l2p, front2Q)
 			for a, b := l2p[g.Q0], l2p[g.Q1]; cg.Distance(a, b) > 1; {
@@ -210,7 +231,7 @@ func (r *router) routeOnce(c *circuit.Circuit, l2p []int) Result {
 			continue
 		}
 		// Stalled: pick the best SWAP among edges touching frontier qubits.
-		ext := extendedSet(dag, front, r.opts.ExtendedSize)
+		ext := r.extendedSet(dag, front)
 		swap(r.pickSwap(l2p, front2Q, ext, decay))
 		stalled++
 	}
@@ -240,34 +261,35 @@ func stepToward(cg *graphs.Coupling, a, b int) int {
 }
 
 // frontTwoQubit returns the two-qubit gates currently in the frontier.
-func frontTwoQubit(f *circuit.Frontier) []circuit.Gate {
-	var gates []circuit.Gate
+func (r *router) frontTwoQubit(f *circuit.Frontier) []circuit.Gate {
+	gates := r.front2Q[:0]
 	for _, gi := range f.Front() {
 		if g := f.Gate(gi); g.IsTwoQubit() {
 			gates = append(gates, g)
 		}
 	}
+	r.front2Q = gates
 	return gates
 }
 
-// extendedSet collects up to size upcoming two-qubit gates reachable from the
-// frontier (breadth-first over DAG successors) for the lookahead term.
-func extendedSet(dag *circuit.DAG, f *circuit.Frontier, size int) []circuit.Gate {
-	seen := map[int]bool{}
-	var queue []int
+// extendedSet collects up to ExtendedSize upcoming two-qubit gates reachable
+// from the frontier (breadth-first over DAG successors) for the lookahead
+// term.
+func (r *router) extendedSet(dag *circuit.DAG, f *circuit.Frontier) []circuit.Gate {
+	size := r.opts.ExtendedSize
+	r.epoch++
+	queue := r.queue[:0]
 	for _, gi := range f.Front() {
 		queue = append(queue, gi)
-		seen[gi] = true
+		r.seen[gi] = r.epoch
 	}
-	var ext []circuit.Gate
-	for len(queue) > 0 && len(ext) < size {
-		gi := queue[0]
-		queue = queue[1:]
-		for _, s := range dag.Successors(gi) {
-			if seen[s] {
+	ext := r.ext[:0]
+	for head := 0; head < len(queue) && len(ext) < size; head++ {
+		for _, s := range dag.Successors(queue[head]) {
+			if r.seen[s] == r.epoch {
 				continue
 			}
-			seen[s] = true
+			r.seen[s] = r.epoch
 			if g := dag.Circuit().Gates[s]; g.IsTwoQubit() {
 				ext = append(ext, g)
 				if len(ext) >= size {
@@ -277,86 +299,133 @@ func extendedSet(dag *circuit.DAG, f *circuit.Frontier, size int) []circuit.Gate
 			queue = append(queue, s)
 		}
 	}
+	r.queue, r.ext = queue, ext
 	return ext
 }
 
 // pickSwap scores every candidate SWAP (edges incident to the physical
 // locations of frontier-gate qubits) and returns the physical pair with the
-// lowest decayed lookahead cost.
+// lowest decayed lookahead cost. Candidates are visited in ascending (a,b)
+// order, so the reservoir tie-break draws a fixed RNG sequence.
 func (r *router) pickSwap(l2p []int, front, ext []circuit.Gate, decay []float64) (int, int) {
-	cg := r.cg
-	seen := map[[2]int]bool{}
-	var candidates [][2]int
-	for _, g := range front {
-		for _, q := range []int{g.Q0, g.Q1} {
-			p := l2p[q]
-			for _, nb := range cg.Neighbors(p) {
-				a, b := p, nb
-				if a > b {
-					a, b = b, a
-				}
-				if !seen[[2]int{a, b}] {
-					seen[[2]int{a, b}] = true
-					candidates = append(candidates, [2]int{a, b})
-				}
-			}
-		}
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i][0] != candidates[j][0] {
-			return candidates[i][0] < candidates[j][0]
-		}
-		return candidates[i][1] < candidates[j][1]
-	})
-
+	r.indexGates(l2p, front, ext)
+	n := r.cg.N
 	bestCost := math.Inf(1)
-	var best [2]int
-	nbest := 0
-	for _, cand := range candidates {
-		cost := r.swapCost(l2p, front, ext, cand, decay)
+	best, nbest := 0, 0
+	for _, key := range r.candidates(l2p, front) {
+		cost := r.swapCost(l2p, front, ext, key/n, key%n, decay)
 		switch {
 		case cost < bestCost-1e-12:
-			bestCost, best, nbest = cost, cand, 1
+			bestCost, best, nbest = cost, key, 1
 		case math.Abs(cost-bestCost) <= 1e-12:
 			// Reservoir-sample ties for seeded-deterministic tie-breaking.
 			nbest++
 			if r.rng.Intn(nbest) == 0 {
-				best = cand
+				best = key
 			}
 		}
 	}
+	r.unindexGates(l2p, front, ext)
 	if nbest == 0 {
 		panic("sabre: no swap candidates (disconnected device?)")
 	}
-	return best[0], best[1]
+	return best / n, best % n
 }
 
-func (r *router) swapCost(l2p []int, front, ext []circuit.Gate,
-	swap [2]int, decay []float64) float64 {
+// indexGates records which front and extended-set gates sit at each
+// physical qubit, and their distance sums under the current mapping.
+func (r *router) indexGates(l2p []int, front, ext []circuit.Gate) {
+	r.fsum, r.esum = 0, 0
+	for i, g := range front {
+		a, b := l2p[g.Q0], l2p[g.Q1]
+		r.frontAt[a], r.frontAt[b] = i, i
+		r.fsum += r.cg.Distance(a, b)
+	}
+	for i, g := range ext {
+		a, b := l2p[g.Q0], l2p[g.Q1]
+		r.extAt[a] = append(r.extAt[a], i)
+		r.extAt[b] = append(r.extAt[b], i)
+		r.esum += r.cg.Distance(a, b)
+	}
+}
 
-	cg := r.cg
-	pos := func(q int) int {
-		p := l2p[q]
-		if p == swap[0] {
-			return swap[1]
+// unindexGates clears what indexGates recorded.
+func (r *router) unindexGates(l2p []int, front, ext []circuit.Gate) {
+	for _, g := range front {
+		r.frontAt[l2p[g.Q0]], r.frontAt[l2p[g.Q1]] = -1, -1
+	}
+	for _, g := range ext {
+		r.extAt[l2p[g.Q0]] = r.extAt[l2p[g.Q0]][:0]
+		r.extAt[l2p[g.Q1]] = r.extAt[l2p[g.Q1]][:0]
+	}
+}
+
+// candidates returns the edges at the front gates' physical qubits, once
+// each, as ascending a*N+b keys (a < b). Front gates share no qubit, so an
+// edge is seen twice only when both ends hold front qubits; it is kept from
+// its smaller end.
+func (r *router) candidates(l2p []int, front []circuit.Gate) []int {
+	n := r.cg.N
+	keys := r.keys[:0]
+	for _, g := range front {
+		for _, p := range [2]int{l2p[g.Q0], l2p[g.Q1]} {
+			for _, nb := range r.cg.Neighbors(p) {
+				switch {
+				case p < nb:
+					keys = append(keys, p*n+nb)
+				case r.frontAt[nb] < 0:
+					keys = append(keys, nb*n+p)
+				}
+			}
 		}
-		if p == swap[1] {
-			return swap[0]
+	}
+	slices.Sort(keys)
+	r.keys = keys
+	return keys
+}
+
+// swapCost is the decayed lookahead cost of swapping physical qubits a < b:
+// the distance sums indexGates took plus the change in the gates at a and b.
+// The sums are integers, exact in float64, so the cost is bit-identical to
+// recomputing every gate's distance.
+func (r *router) swapCost(l2p []int, front, ext []circuit.Gate, a, b int, decay []float64) float64 {
+	fsum := r.fsum
+	if i := r.frontAt[a]; i >= 0 {
+		fsum += r.moved(l2p, front[i], a, b)
+	}
+	if i := r.frontAt[b]; i >= 0 && i != r.frontAt[a] {
+		fsum += r.moved(l2p, front[i], a, b)
+	}
+	esum := r.esum
+	for _, i := range r.extAt[a] {
+		esum += r.moved(l2p, ext[i], a, b)
+	}
+	for _, i := range r.extAt[b] {
+		if g := ext[i]; l2p[g.Q0] != a && l2p[g.Q1] != a {
+			esum += r.moved(l2p, g, a, b)
+		}
+	}
+	fcost := float64(fsum) / float64(len(front))
+	ecost := 0.0
+	if len(ext) > 0 {
+		ecost = float64(esum) / float64(len(ext))
+	}
+	d := 1 + decay[a] + decay[b]
+	return d * (fcost + extendedWeight*ecost)
+}
+
+// moved returns how much swapping physical qubits a and b changes the
+// distance between g's endpoints.
+func (r *router) moved(l2p []int, g circuit.Gate, a, b int) int {
+	pos := func(p int) int {
+		switch p {
+		case a:
+			return b
+		case b:
+			return a
 		}
 		return p
 	}
-	fcost := 0.0
-	for _, g := range front {
-		fcost += float64(cg.Distance(pos(g.Q0), pos(g.Q1)))
-	}
-	fcost /= float64(len(front))
-	ecost := 0.0
-	if len(ext) > 0 {
-		for _, g := range ext {
-			ecost += float64(cg.Distance(pos(g.Q0), pos(g.Q1)))
-		}
-		ecost /= float64(len(ext))
-	}
-	d := 1 + decay[swap[0]] + decay[swap[1]]
-	return d * (fcost + extendedWeight*ecost)
+	p0, p1 := l2p[g.Q0], l2p[g.Q1]
+	return r.cg.Distance(pos(p0), pos(p1)) - r.cg.Distance(p0, p1)
 }
