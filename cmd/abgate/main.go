@@ -39,6 +39,7 @@ const pairs, need = 10, 9
 var goBenches = []struct{ pkg, names string }{
 	{"internal/core", "BenchmarkTab2Compile"},
 	{"internal/compiler/backends", "BenchmarkBackends"},
+	{"internal/sabre", "BenchmarkRouteHeavyHex|BenchmarkRouteGrid|BenchmarkRouteMultipartite"},
 	{"internal/noise", "BenchmarkNoisyShots|BenchmarkStabTrajectory|BenchmarkSample"},
 }
 

@@ -73,8 +73,12 @@ func NewFrontier(d *DAG) *Frontier {
 	return f
 }
 
-// Front returns the current frontier in ascending gate order. The returned
-// slice is owned by the Frontier; callers must not mutate it.
+// Front returns the current frontier in the order its gates became ready:
+// the initially independent gates in ascending order, then each gate as its
+// last dependency executes (so it is not sorted: for H(0); H(0); H(1) it is
+// [0 2], and [2 1] after Execute(0)). The routers iterate it in this order,
+// so their output depends on it. The returned slice is owned by the
+// Frontier; callers must not mutate it.
 func (f *Frontier) Front() []int { return f.front }
 
 // Gate returns the gate at index i.

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -45,6 +46,23 @@ func TestFrontierTraversal(t *testing.T) {
 	f.Execute(3)
 	if !f.Done() {
 		t.Fatalf("frontier not done after all 4 gates, front = %v", f.Front())
+	}
+}
+
+// TestFrontierReadyOrder pins the frontier's order, the order in which gates
+// became ready, which every router's determinism depends on.
+func TestFrontierReadyOrder(t *testing.T) {
+	c := New(2)
+	c.H(0) // 0
+	c.H(0) // 1 depends on 0
+	c.H(1) // 2
+	f := NewFrontier(NewDAG(c))
+	if got := f.Front(); !slices.Equal(got, []int{0, 2}) {
+		t.Fatalf("initial front = %v, want [0 2]", got)
+	}
+	f.Execute(0)
+	if got := f.Front(); !slices.Equal(got, []int{2, 1}) {
+		t.Fatalf("front after Execute(0) = %v, want [2 1]", got)
 	}
 }
 

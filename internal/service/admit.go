@@ -115,7 +115,7 @@ func (e *Engine) reject(j *job, oe *OverloadedError) error {
 	}
 	prio := j.task.prio.String()
 	e.tel.admissionDecisions.With(prio, decision).Inc()
-	e.tel.requests.With(backendLabel(j.task), j.task.class, outcomeRejected).Inc()
+	e.tel.requests.With(backendLabel(j.task.backend), j.task.class, outcomeRejected).Inc()
 	j.trace.Root.SetAttr("priority", prio)
 	j.trace.Root.SetAttr("reason", oe.Reason)
 	j.trace.Root.SetAttr("retryAfterSeconds", strconv.FormatFloat(oe.RetryAfter.Seconds(), 'g', 4, 64))

@@ -3,11 +3,13 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"atomique/internal/admission"
 	"atomique/internal/circuit"
@@ -51,6 +53,30 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	j2, err := e.Compile(context.Background(), Request{Benchmark: "H2-4", Seed: 2})
 	if err != nil || j2.State != StateDone {
 		t.Fatalf("job after recovery: %+v err=%v, want done", j2, err)
+	}
+}
+
+// TestFinishedJobReleasesInputs: the job table keeps finished jobs for
+// GET /v1/jobs/{id}, but not the circuits they compiled, so retained memory
+// does not grow with request size.
+func TestFinishedJobReleasesInputs(t *testing.T) {
+	var compiled weak.Pointer[circuit.Circuit]
+	e := newEngine(Config{Workers: 1}, func(_ context.Context, _ compiler.Backend, _ compiler.Target, circ *circuit.Circuit, _ compiler.Options) (*compiler.Result, error) {
+		compiled = weak.Make(circ)
+		return stubResult(circ), nil
+	})
+	defer e.Close()
+
+	j, err := e.Compile(context.Background(), Request{QASM: ghzQASM, Seed: 1})
+	if err != nil || j.State != StateDone {
+		t.Fatalf("Compile: %+v err=%v, want done", j, err)
+	}
+	if _, ok := e.JobByID(j.ID); !ok {
+		t.Fatalf("finished job %s left the table", j.ID)
+	}
+	runtime.GC()
+	if compiled.Value() != nil {
+		t.Error("a finished job still pins its circuit")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"atomique/internal/compiler"
 	"atomique/internal/report"
 )
 
@@ -27,8 +28,12 @@ func (e *Engine) finish(j *job, out *outcome, cached bool) {
 	default:
 		j.state, outcomeLabel = StateFailed, outcomeFailed
 	}
-	backend := backendLabel(j.task)
+	backend := backendLabel(j.task.backend)
 	e.tel.requests.With(backend, j.task.class, outcomeLabel).Inc()
+	// Nothing reads a finished job's inputs, and the job table keeps
+	// thousands of finished jobs: release them, so retained memory does not
+	// grow with request size.
+	j.task.target, j.task.circ, j.task.opts, j.task.emit = compiler.Target{}, nil, compiler.Options{}, nil
 	j.out = out
 	j.cached = cached
 	j.finishedAt = time.Now()

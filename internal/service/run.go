@@ -29,6 +29,7 @@ func (e *Engine) run(j *job) {
 	}
 	j.state = StateRunning
 	waited := time.Since(j.submitted)
+	t := j.task // finish releases the inputs under j.mu
 	j.mu.Unlock()
 	e.tel.queueWait.ObserveExemplar(waited.Seconds(), j.trace.ID)
 	j.trace.Root.Record("queue.wait", j.submitted, waited)
@@ -53,7 +54,7 @@ func (e *Engine) run(j *job) {
 		}
 		e.finish(j, out, cached)
 	}()
-	out, cached = e.compute(j.ctx, j.task)
+	out, cached = e.compute(j.ctx, t)
 }
 
 // compute returns the outcome for a task, via the cache when possible. The
@@ -129,13 +130,13 @@ func (e *Engine) execute(ctx context.Context, t task) (out *outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			cspan.End()
-			e.recordPanic("backend "+backendLabel(t), r)
-			out = &outcome{err: fmt.Errorf("service: backend %s panicked: %v", backendLabel(t), r)}
+			e.recordPanic("backend "+backendLabel(t.backend), r)
+			out = &outcome{err: fmt.Errorf("service: backend %s panicked: %v", backendLabel(t.backend), r)}
 		}
 	}()
 	cctx := ctx
 	if cspan != nil {
-		cspan.SetAttr("backend", backendLabel(t))
+		cspan.SetAttr("backend", backendLabel(t.backend))
 		cctx = obs.ContextWithSpan(ctx, cspan)
 	}
 	res, err := e.compile(cctx, t.backend, t.target, t.circ, t.opts)

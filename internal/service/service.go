@@ -186,7 +186,9 @@ type Job struct {
 }
 
 // task is a fully resolved compilation: inputs plus the content-addressed
-// cache key.
+// cache key. A finished job keeps only the labels: finish releases its
+// target, circuit, options and emit, so no code may copy a job's task
+// outside j.mu.
 type task struct {
 	label   string // benchmark name or request label, informational only
 	hash    string // circuit fingerprint
@@ -354,18 +356,18 @@ func (e *Engine) Close() {
 }
 
 // backendLabel names a task's backend for metric labels.
-func backendLabel(t task) string {
-	if t.backend == nil {
+func backendLabel(b compiler.Backend) string {
+	if b == nil {
 		return "unknown"
 	}
-	return t.backend.Name()
+	return b.Name()
 }
 
 // logJob emits one structured lifecycle event correlated by trace ID.
 func (e *Engine) logJob(j *job, level slog.Level, msg string, extra ...any) {
 	args := append([]any{
 		"job", j.id, "traceId", j.trace.ID,
-		"backend", backendLabel(j.task), "class", j.task.class,
+		"backend", backendLabel(j.task.backend), "class", j.task.class,
 		"benchmark", j.task.label,
 	}, extra...)
 	e.tel.log.Log(context.Background(), level, msg, args...)
