@@ -386,23 +386,17 @@ func (r *router) candidates(l2p []int, front []circuit.Gate) []int {
 
 // swapCost is the decayed lookahead cost of swapping physical qubits a < b:
 // the distance sums indexGates took plus the change in the gates at a and b.
-// The sums are integers, exact in float64, so the cost is bit-identical to
-// recomputing every gate's distance.
+// A gate on both a and b keeps its distance, so visiting it from both ends
+// adds nothing. The sums are integers, exact in float64, so the cost is
+// bit-identical to recomputing every gate's distance.
 func (r *router) swapCost(l2p []int, front, ext []circuit.Gate, a, b int, decay []float64) float64 {
-	fsum := r.fsum
-	if i := r.frontAt[a]; i >= 0 {
-		fsum += r.moved(l2p, front[i], a, b)
-	}
-	if i := r.frontAt[b]; i >= 0 && i != r.frontAt[a] {
-		fsum += r.moved(l2p, front[i], a, b)
-	}
-	esum := r.esum
-	for _, i := range r.extAt[a] {
-		esum += r.moved(l2p, ext[i], a, b)
-	}
-	for _, i := range r.extAt[b] {
-		if g := ext[i]; l2p[g.Q0] != a && l2p[g.Q1] != a {
-			esum += r.moved(l2p, g, a, b)
+	fsum, esum := r.fsum, r.esum
+	for _, p := range [2]int{a, b} {
+		if i := r.frontAt[p]; i >= 0 {
+			fsum += r.moved(l2p, front[i], a, b)
+		}
+		for _, i := range r.extAt[p] {
+			esum += r.moved(l2p, ext[i], a, b)
 		}
 	}
 	fcost := float64(fsum) / float64(len(front))
