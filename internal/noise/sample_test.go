@@ -79,11 +79,12 @@ func (s *stabShotSim) injectEvent(e *event) {
 
 // TestConjTableMatchesNaiveReplay pins the precomputed conjugation table to
 // the pre-table reference (frame conjugated through the whole gate stream):
-// identical scores and identical frame bits, shot for shot. The three
-// witness shapes exercise every accumulation path — gate-attached 1Q/2Q
-// sites, free-floating dephase, and the no-sites fallbacks (a witness with
-// no 1Q gates sends Pauli1Q events down the arbitrary-(pos,q) path, one with
-// no 2Q gates does the same for Pauli2Q).
+// identical scores and identical frame bits, shot for shot. The witness
+// shapes exercise every accumulation path — gate-attached 1Q/2Q sites,
+// free-floating dephase, and the no-sites fallbacks (a witness with no 1Q
+// gates sends Pauli1Q events down the arbitrary-(pos,q) path, one with no 2Q
+// gates does the same for Pauli2Q) — and the all-ops witnesses run every
+// Clifford op at every quarter-turn angle through the table's fold.
 func TestConjTableMatchesNaiveReplay(t *testing.T) {
 	hot := Model{Channels: []Channel{
 		{Label: "1q", Kind: Pauli1Q, Trials: 40, Prob: 0.05},
@@ -91,8 +92,10 @@ func TestConjTableMatchesNaiveReplay(t *testing.T) {
 		{Label: "dephase", Kind: Dephase, Trials: 40, Prob: 0.05},
 	}}
 	witnesses := map[string]Witness{
-		"mixed":   cliffordWitness(5, 12, 120),
-		"mixed-w": cliffordWitness(9, 65, 300),
+		"mixed":     cliffordWitness(5, 12, 120),
+		"mixed-w":   cliffordWitness(9, 65, 300),
+		"all-ops":   allOpsWitness(3, 7, 200),
+		"all-ops-w": allOpsWitness(4, 70, 300),
 	}
 	cxOnly := circuit.New(6)
 	for i := 0; i < 30; i++ {

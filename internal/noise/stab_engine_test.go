@@ -35,6 +35,27 @@ func cliffordWitness(seed int64, n, gates int) Witness {
 	return Witness{NSlots: n, Gates: c.Gates}
 }
 
+// allOpsWitness returns a seeded random witness drawing uniformly from all
+// thirteen Clifford ops, every rotation at ±π/2 or π.
+func allOpsWitness(seed int64, n, gates int) Witness {
+	rng := rand.New(rand.NewSource(seed))
+	angles := []float64{math.Pi / 2, -math.Pi / 2, math.Pi}
+	oneQ := []circuit.Op{circuit.OpH, circuit.OpX, circuit.OpY, circuit.OpZ, circuit.OpS,
+		circuit.OpRX, circuit.OpRY, circuit.OpRZ, circuit.OpU}
+	twoQ := []circuit.Op{circuit.OpCX, circuit.OpCZ, circuit.OpZZ, circuit.OpSWAP}
+	c := circuit.New(n)
+	for i := 0; i < gates; i++ {
+		theta := angles[rng.Intn(len(angles))]
+		if k := rng.Intn(len(oneQ) + len(twoQ)); k < len(oneQ) {
+			c.Add1Q(oneQ[k], rng.Intn(n), theta)
+		} else {
+			a := rng.Intn(n)
+			c.Add2Q(twoQ[k-len(oneQ)], a, (a+1+rng.Intn(n-1))%n, theta)
+		}
+	}
+	return Witness{NSlots: n, Gates: c.Gates}
+}
+
 // testModel is a three-channel model with gate-attached and idle errors.
 func testModel(oneQ, twoQ int) Model {
 	return Model{Channels: []Channel{
