@@ -33,24 +33,20 @@ type conjTable struct {
 	byQubit [][]int32
 }
 
-const (
-	genX0 = 0
-	genZ0 = 1
-	genX1 = 2
-	genZ1 = 3
-)
-
 func (ct *conjTable) img(site, gen int) (x, z []uint64) {
 	off := (site*4 + gen) * 2 * ct.nw
 	return ct.imgs[off : off+ct.nw], ct.imgs[off+ct.nw : off+2*ct.nw]
 }
 
 // newConjTable builds the table for a validated Clifford witness. The
-// backward sweep maintains M, the image of every qubit's X/Z generator under
-// the current suffix; processing gate gi snapshots the images of gi's qubits
-// (the suffix AFTER gi is what events at gi see) and then folds gi itself
-// into M. Only the processed gate's generators change per step, so the sweep
-// is O(gates · n/64) words total.
+// backward sweep maintains m, the image of every qubit's X/Z generator under
+// the current suffix. Processing gate gi first snapshots the images of gi's
+// generators into site gi (the suffix AFTER gi is what events at gi see),
+// then folds gi itself into m: the new image of a generator P is
+// suffix(g·P·g†), and g·P·g† (signs dropped) is the product of the gi
+// generators conjBitsThrough names, so it is the XOR of their snapshots.
+// Only gi's generators change per step, so the sweep is O(gates · n/64)
+// words total.
 func newConjTable(w Witness) *conjTable {
 	n := w.NSlots
 	nw := (n + 63) / 64
@@ -66,7 +62,7 @@ func newConjTable(w Witness) *conjTable {
 		}
 	}
 
-	// M: generator images under the suffix, initialised to the identity map.
+	// m: generator images under the suffix, initialised to the identity map.
 	// Entry q*2+0 is the image of X_q, q*2+1 of Z_q; each is 2·nw words
 	// (X part, Z part).
 	m := make([]uint64, n*2*2*nw)
@@ -83,87 +79,33 @@ func newConjTable(w Witness) *conjTable {
 
 	for gi := len(w.Gates) - 1; gi >= 0; gi-- {
 		g := w.Gates[gi]
-		// Snapshot the suffix-after-gi images into the site table.
-		sx0x, sx0z := ct.img(gi, genX0)
-		sz0x, sz0z := ct.img(gi, genZ0)
-		mx0x, mx0z := img(g.Q0, 0)
-		mz0x, mz0z := img(g.Q0, 1)
-		copy(sx0x, mx0x)
-		copy(sx0z, mx0z)
-		copy(sz0x, mz0x)
-		copy(sz0z, mz0z)
-		var mx1x, mx1z, mz1x, mz1z []uint64
+		qs, gens := [2]int{g.Q0, g.Q1}, 2
 		if g.IsTwoQubit() {
-			sx1x, sx1z := ct.img(gi, genX1)
-			sz1x, sz1z := ct.img(gi, genZ1)
-			mx1x, mx1z = img(g.Q1, 0)
-			mz1x, mz1z = img(g.Q1, 1)
-			copy(sx1x, mx1x)
-			copy(sx1z, mx1z)
-			copy(sz1x, mz1x)
-			copy(sz1z, mz1z)
+			gens = 4
 		}
-		// Fold gate gi into M: new image of P is suffix(g·P·g†), and g·P·g†
-		// (signs dropped) is a GF(2) combination of gi's own generators whose
-		// suffix images were just snapshotted. Rules mirror Frame.Conjugate.
-		switch g.Op {
-		case circuit.OpH:
-			copy(mx0x, sz0x)
-			copy(mx0z, sz0z)
-			copy(mz0x, sx0x)
-			copy(mz0z, sx0z)
-		case circuit.OpS:
-			xorPacked(mx0x, sz0x) // X → Y = X·Z
-			xorPacked(mx0z, sz0z)
-		case circuit.OpRZ:
-			if cliffordQuarterOdd(g) {
-				xorPacked(mx0x, sz0x)
-				xorPacked(mx0z, sz0z)
+		for k := 0; k < gens; k++ {
+			sx, sz := ct.img(gi, k)
+			mx, mz := img(qs[k/2], k%2)
+			copy(sx, mx)
+			copy(sz, mz)
+		}
+		for k := 0; k < gens; k++ {
+			var p [4]uint64
+			p[k] = 1
+			conj := conjBitsThrough(g, p)
+			if conj == p {
+				continue // g commutes with this generator
 			}
-		case circuit.OpRX:
-			if cliffordQuarterOdd(g) {
-				xorPacked(mz0x, sx0x) // Z → Y = X·Z
-				xorPacked(mz0z, sx0z)
+			mx, mz := img(qs[k/2], k%2)
+			clear(mx)
+			clear(mz)
+			for j, b := range conj {
+				if b == 1 {
+					sx, sz := ct.img(gi, j)
+					xorPacked(mx, sx)
+					xorPacked(mz, sz)
+				}
 			}
-		case circuit.OpRY, circuit.OpU:
-			if cliffordQuarterOdd(g) {
-				copy(mx0x, sz0x)
-				copy(mx0z, sz0z)
-				copy(mz0x, sx0x)
-				copy(mz0z, sx0z)
-			}
-		case circuit.OpCX:
-			xorPacked(mx0x, mx1x) // X_c → X_c·X_t
-			xorPacked(mx0z, mx1z)
-			xorPacked(mz1x, sz0x) // Z_t → Z_c·Z_t
-			xorPacked(mz1z, sz0z)
-		case circuit.OpCZ:
-			xorPacked(mx0x, mz1x) // X_a → X_a·Z_b
-			xorPacked(mx0z, mz1z)
-			xorPacked(mx1x, sz0x) // X_b → X_b·Z_a
-			xorPacked(mx1z, sz0z)
-		case circuit.OpZZ:
-			if cliffordQuarterOdd(g) {
-				xorPacked(mx0x, sz0x) // X_a → X_a·Z_a·Z_b
-				xorPacked(mx0z, sz0z)
-				xorPacked(mx0x, mz1x)
-				xorPacked(mx0z, mz1z)
-				xorPacked(mx1x, sz0x) // X_b → X_b·Z_a·Z_b
-				xorPacked(mx1z, sz0z)
-				xorPacked(mx1x, mz1x)
-				xorPacked(mx1z, mz1z)
-			}
-		case circuit.OpSWAP:
-			copy(mx0x, mx1x)
-			copy(mx0z, mx1z)
-			copy(mz0x, mz1x)
-			copy(mz0z, mz1z)
-			copy(mx1x, sx0x)
-			copy(mx1z, sx0z)
-			copy(mz1x, sz0x)
-			copy(mz1z, sz0z)
-		default:
-			// Paulis (and even rotations) conjugate any frame trivially.
 		}
 	}
 	return ct
@@ -181,23 +123,17 @@ func cliffordQuarterOdd(g circuit.Gate) bool {
 }
 
 // accumulate XORs one event's end-of-circuit Pauli image into the frame.
+// A 1Q event's pauli is below 4, so its Q1 half is the identity.
 func (ct *conjTable) accumulate(f *stab.Frame, e *event) {
 	if e.site >= 0 {
 		// Gate-attached: the site's generator images are exactly the
 		// conjugation of a Pauli injected right after that gate.
 		ct.accumGen(f, e.site, 0, e.pauli&3)
-		if e.kind == Pauli2Q {
-			ct.accumGen(f, e.site, 1, e.pauli>>2)
-		}
+		ct.accumGen(f, e.site, 1, e.pauli>>2)
 		return
 	}
-	switch e.kind {
-	case Pauli2Q:
-		ct.accumQubit(f, e.pos, e.q0, e.pauli&3)
-		ct.accumQubit(f, e.pos, e.q1, e.pauli>>2)
-	default: // Pauli1Q fallback, Dephase
-		ct.accumQubit(f, e.pos, e.q0, e.pauli&3)
-	}
+	ct.accumQubit(f, e.pos, e.q0, e.pauli&3)
+	ct.accumQubit(f, e.pos, e.q1, e.pauli>>2)
 }
 
 // accumGen XORs the image of Pauli p (1=X, 2=Y, 3=Z) on generator slot
@@ -239,34 +175,27 @@ func (ct *conjTable) accumQubit(f *stab.Frame, pos, q, p int) {
 	}
 	gi := int(sites[k])
 	g := ct.gates[gi]
-	var x0, z0, x1, z1 uint64
-	bits := func(p int) (x, z uint64) {
-		if p != 3 {
-			x = 1
-		}
-		if p != 1 {
-			z = 1
-		}
-		return
+	var in [4]uint64
+	slot := 0
+	if q != g.Q0 {
+		slot = 2
 	}
-	if q == g.Q0 {
-		x0, z0 = bits(p)
-	} else {
-		x1, z1 = bits(p)
-	}
-	x0, z0, x1, z1 = conjBitsThrough(g, x0, z0, x1, z1)
-	for slot, b := range [4]uint64{x0, z0, x1, z1} {
+	in[slot], in[slot+1] = uint64(p^p>>1)&1, uint64(p>>1) // X for X/Y, Z for Y/Z
+	for j, b := range conjBitsThrough(g, in) {
 		if b == 1 {
-			x, z := ct.img(gi, slot)
+			x, z := ct.img(gi, j)
 			xorPacked(f.X, x)
 			xorPacked(f.Z, z)
 		}
 	}
 }
 
-// conjBitsThrough pushes a Pauli on a single gate's qubits through that gate
-// (signs dropped) — the scalar twin of Frame.Conjugate.
-func conjBitsThrough(g circuit.Gate, x0, z0, x1, z1 uint64) (uint64, uint64, uint64, uint64) {
+// conjBitsThrough pushes a Pauli on a single gate's qubits, given as its
+// generator bits in slot order (X_Q0, Z_Q0, X_Q1, Z_Q1), through that gate
+// (signs dropped) — the scalar twin of Frame.Conjugate, and the one rule
+// both the table fold and accumQubit apply.
+func conjBitsThrough(g circuit.Gate, p [4]uint64) [4]uint64 {
+	x0, z0, x1, z1 := p[0], p[1], p[2], p[3]
 	switch g.Op {
 	case circuit.OpH:
 		x0, z0 = z0, x0
@@ -300,7 +229,7 @@ func conjBitsThrough(g circuit.Gate, x0, z0, x1, z1 uint64) (uint64, uint64, uin
 		x0, x1 = x1, x0
 		z0, z1 = z1, z0
 	}
-	return x0, z0, x1, z1
+	return [4]uint64{x0, z0, x1, z1}
 }
 
 func xorPacked(dst, src []uint64) {

@@ -113,18 +113,22 @@ func (t *Tableau) Disturbs(f *Frame) bool {
 	if f.n != t.n {
 		panic("stab: frame width mismatch")
 	}
-	syn := f.syn
-	for w := range syn {
-		syn[w] = 0
-	}
+	return t.syndrome(f.X, f.Z, f.syn)
+}
+
+// syndrome fills syn (t.w words) with the row syndrome of the qubit-packed
+// Pauli (xs, zs) — bit i set ⇔ it anticommutes with generator row i — and
+// reports whether it anticommutes with any stabilizer.
+func (t *Tableau) syndrome(xs, zs, syn []uint64) bool {
+	clear(syn)
 	for q := 0; q < t.n; q++ {
 		qw, qb := q>>6, uint(q&63)
-		if f.X[qw]>>qb&1 == 1 {
+		if xs[qw]>>qb&1 == 1 {
 			for w := 0; w < t.w; w++ {
 				syn[w] ^= t.z[q][w]
 			}
 		}
-		if f.Z[qw]>>qb&1 == 1 {
+		if zs[qw]>>qb&1 == 1 {
 			for w := 0; w < t.w; w++ {
 				syn[w] ^= t.x[q][w]
 			}

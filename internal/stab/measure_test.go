@@ -107,11 +107,12 @@ func (t *Tableau) randomPivot(q int) int {
 func (t *Tableau) deterministicZ(q int) int {
 	nw := (t.n + 63) / 64
 	xs, zs := make([]uint64, nw), make([]uint64, nw)
+	rx, rz := make([]uint64, nw), make([]uint64, nw)
 	phase := 0
-	xq := t.x[q]
 	for i := 0; i < t.n; i++ {
-		if xq[i>>6]>>uint(i&63)&1 == 1 {
-			phase = t.foldRow(i+t.n, xs, zs, phase)
+		if getBit(t.x[q], i) {
+			ph := t.row(i+t.n, rx, rz)
+			phase = mulPauliRow(rx, rz, xs, zs, ph, phase)
 		}
 	}
 	if ((phase%4)+4)%4 == 2 {

@@ -69,19 +69,7 @@ func (t *Tableau) StabilizerPauli(i int) *Pauli {
 	if i < 0 || i >= t.n {
 		panic(fmt.Sprintf("stab: generator index %d out of range [0,%d)", i, t.n))
 	}
-	row := t.n + i
 	p := NewPauli(t.n)
-	w, b := row>>6, uint(row&63)
-	for q := 0; q < t.n; q++ {
-		if t.x[q][w]>>b&1 == 1 {
-			p.X[q>>6] |= 1 << uint(q&63)
-		}
-		if t.z[q][w]>>b&1 == 1 {
-			p.Z[q>>6] |= 1 << uint(q&63)
-		}
-	}
-	if t.r[w]>>b&1 == 1 {
-		p.Phase = 2
-	}
+	p.Phase = uint8(t.row(t.n+i, p.X, p.Z))
 	return p
 }

@@ -24,8 +24,7 @@ type Sampler struct {
 func (t *Tableau) NewSampler() (*Sampler, error) {
 	n := t.n
 	nw := (n + 63) / 64
-	// Extract the stabilizer rows n..2n-1 into row-major packed Paulis with
-	// an i-exponent phase (0 or 2: stabilizer generators are Hermitian ±P).
+	// Extract the stabilizer rows n..2n-1 into row-major packed Paulis.
 	rx := make([][]uint64, n)
 	rz := make([][]uint64, n)
 	ph := make([]int, n)
@@ -33,15 +32,7 @@ func (t *Tableau) NewSampler() (*Sampler, error) {
 	for i := 0; i < n; i++ {
 		rx[i] = backing[2*i*nw : (2*i+1)*nw]
 		rz[i] = backing[(2*i+1)*nw : (2*i+2)*nw]
-		row := n + i
-		w, b := row>>6, uint(row&63)
-		for q := 0; q < n; q++ {
-			rx[i][q>>6] |= (t.x[q][w] >> b & 1) << uint(q&63)
-			rz[i][q>>6] |= (t.z[q][w] >> b & 1) << uint(q&63)
-		}
-		if t.r[w]>>b&1 == 1 {
-			ph[i] = 2
-		}
+		ph[i] = t.row(n+i, rx[i], rz[i])
 	}
 
 	xbit := func(v []uint64, q int) bool { return v[q>>6]>>uint(q&63)&1 == 1 }
@@ -139,10 +130,25 @@ func (t *Tableau) NewSampler() (*Sampler, error) {
 	return s, nil
 }
 
+// row copies generator row i into the qubit-packed scratch (xs, zs), which
+// it clears first, and returns the row's i-exponent phase: 0, or 2 for a -1
+// sign (generators are Hermitian ±P).
+func (t *Tableau) row(i int, xs, zs []uint64) int {
+	clear(xs)
+	clear(zs)
+	w, b := i>>6, uint(i&63)
+	for q := 0; q < t.n; q++ {
+		xs[q>>6] |= (t.x[q][w] >> b & 1) << uint(q&63)
+		zs[q>>6] |= (t.z[q][w] >> b & 1) << uint(q&63)
+	}
+	return 2 * int(t.r[w]>>b&1)
+}
+
 // mulPauliRow left-multiplies Pauli (x1,z1,phase ph1) into (x2,z2,ph2) in
-// place and returns the product's i-exponent. The per-qubit Aaronson–
-// Gottesman phase function gExp is evaluated word-wide: classify each qubit
-// as contributing +1 or -1 and popcount the two planes.
+// place and returns the product's i-exponent (unnormalised; reduce it mod 4
+// once a fold ends). The per-qubit Aaronson–Gottesman phase function is
+// evaluated word-wide: classify each qubit as contributing +1 or -1 and
+// popcount the two planes.
 func mulPauliRow(x1, z1, x2, z2 []uint64, ph1, ph2 int) int {
 	phase := ph1 + ph2
 	for w := range x1 {

@@ -88,3 +88,59 @@ func TestSamplerDeterministicState(t *testing.T) {
 		t.Fatalf("sampled %05b, want 00110", buf[0])
 	}
 }
+
+// gExp returns the exponent of i in W(x1,z1)·W(x2,z2) = i^g · W(x1^x2, z1^z2)
+// — the Aaronson–Gottesman phase function on one qubit, with (x1,z1) the
+// operator multiplied in from the left. It is the scalar reference the
+// word-wide mulPauliRow is checked against.
+func gExp(x1, z1, x2, z2 uint64) int {
+	switch {
+	case x1 == 1 && z1 == 1: // Y·
+		return int(z2) - int(x2)
+	case x1 == 1: // X·
+		if z2 == 1 {
+			return 2*int(x2) - 1
+		}
+		return 0
+	case z1 == 1: // Z·
+		if x2 == 1 {
+			return 1 - 2*int(z2)
+		}
+		return 0
+	default:
+		return 0
+	}
+}
+
+// TestMulPauliRowMatchesScalar pins the word-wide row product to the
+// qubit-by-qubit gExp fold on random Pauli pairs: same product bits and the
+// same unnormalised i-exponent.
+func TestMulPauliRowMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		nw := 1 + rng.Intn(3)
+		x1, z1 := make([]uint64, nw), make([]uint64, nw)
+		x2, z2 := make([]uint64, nw), make([]uint64, nw)
+		for w := 0; w < nw; w++ {
+			x1[w], z1[w], x2[w], z2[w] = rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()
+		}
+		ph1, ph2 := 2*rng.Intn(2), 2*rng.Intn(2)
+		want := ph1 + ph2
+		wx, wz := make([]uint64, nw), make([]uint64, nw)
+		for q := 0; q < 64*nw; q++ {
+			a, b := x1[q>>6]>>uint(q&63)&1, z1[q>>6]>>uint(q&63)&1
+			c, d := x2[q>>6]>>uint(q&63)&1, z2[q>>6]>>uint(q&63)&1
+			want += gExp(a, b, c, d)
+			wx[q>>6] |= (a ^ c) << uint(q&63)
+			wz[q>>6] |= (b ^ d) << uint(q&63)
+		}
+		if got := mulPauliRow(x1, z1, x2, z2, ph1, ph2); got != want {
+			t.Fatalf("trial %d: phase %d, scalar fold %d", trial, got, want)
+		}
+		for w := 0; w < nw; w++ {
+			if x2[w] != wx[w] || z2[w] != wz[w] {
+				t.Fatalf("trial %d: product bits differ in word %d", trial, w)
+			}
+		}
+	}
+}
