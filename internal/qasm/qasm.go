@@ -1,8 +1,9 @@
 // Package qasm serialises circuits to and from OpenQASM 2.0, the interchange
 // format of the paper's benchmark suites (QASMBench, SupermarQ). The dialect
-// covers the IR's gate set: h, x, y, z, s, t, rx, ry, rz, u (as ry), cx, cz,
-// rzz, swap, plus qreg/creg declarations, comments, and measure statements
-// (parsed and ignored — the compilers schedule unitaries).
+// covers the IR's gate set: h, x, y, z, s, t, sdg and tdg (as rz(-pi/2) and
+// rz(-pi/4)), rx, ry, rz, u (as ry), cx, cz, rzz, swap, plus qreg/creg
+// declarations, comments, and measure statements (parsed and ignored — the
+// compilers schedule unitaries).
 package qasm
 
 import (
@@ -212,12 +213,17 @@ func parseIndex(s string) (int, string, error) {
 
 var opByName = map[string]circuit.Op{
 	"h": circuit.OpH, "x": circuit.OpX, "y": circuit.OpY, "z": circuit.OpZ,
-	"s": circuit.OpS, "t": circuit.OpT, "sdg": circuit.OpS, "tdg": circuit.OpT,
+	"s": circuit.OpS, "t": circuit.OpT, "sdg": circuit.OpRZ, "tdg": circuit.OpRZ,
 	"rx": circuit.OpRX, "ry": circuit.OpRY, "rz": circuit.OpRZ,
 	"u1": circuit.OpRZ, "p": circuit.OpRZ, "u": circuit.OpU, "u3": circuit.OpU,
 	"cx": circuit.OpCX, "cnot": circuit.OpCX, "cz": circuit.OpCZ,
 	"rzz": circuit.OpZZ, "zz": circuit.OpZZ, "swap": circuit.OpSWAP,
 }
+
+// fixedAngle holds the angle of gates opByName maps to a rotation at a fixed
+// angle: the IR has no inverse ops, and S† and T† are RZ(-π/2) and RZ(-π/4)
+// up to global phase.
+var fixedAngle = map[string]float64{"sdg": -math.Pi / 2, "tdg": -math.Pi / 4}
 
 func parseGate(stmt string) (circuit.Op, float64, []int, error) {
 	name := stmt
@@ -242,6 +248,9 @@ func parseGate(stmt string) (circuit.Op, float64, []int, error) {
 	op, ok := opByName[strings.ToLower(name)]
 	if !ok {
 		return 0, 0, nil, fmt.Errorf("unsupported gate %q", name)
+	}
+	if a, ok := fixedAngle[strings.ToLower(name)]; ok {
+		param = a
 	}
 	var args []int
 	for _, operand := range strings.Split(rest, ",") {

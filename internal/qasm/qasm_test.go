@@ -192,3 +192,25 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestInverseGates pins sdg and tdg to S† and T†: each program below is the
+// identity, so the dense simulator must leave |0⟩ with probability 1.
+func TestInverseGates(t *testing.T) {
+	for _, body := range []string{
+		"h q[0]; s q[0]; sdg q[0]; h q[0];",
+		"h q[0]; t q[0]; tdg q[0]; h q[0];",
+		"h q[0]; sdg q[0]; s q[0]; h q[0];",
+		"h q[0]; tdg q[0]; t q[0]; h q[0];",
+	} {
+		c, err := ParseString("OPENQASM 2.0;\nqreg q[1];\n" + body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := sim.MustNew(1)
+		st.Run(c)
+		a := st.Amp[0]
+		if p := real(a)*real(a) + imag(a)*imag(a); math.Abs(p-1) > 1e-12 {
+			t.Errorf("%s: P(|0⟩) = %v, want 1", body, p)
+		}
+	}
+}
