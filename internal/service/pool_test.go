@@ -370,6 +370,49 @@ func TestCloseFailsQueuedAndBlockedJobs(t *testing.T) {
 	}
 }
 
+// TestGivenUpBlockedEnqueueReturns: a blocking batch enqueue waiting on the
+// full queue returns context.Canceled as soon as its caller gives up, not
+// when a slot frees, and its job leaves the job table. Run with -race.
+func TestGivenUpBlockedEnqueueReturns(t *testing.T) {
+	backend := newBlockingBackend()
+	e := newEngine(Config{Workers: 1, QueueSize: 1}, backend.compile)
+	defer e.Close()
+	defer close(backend.release)
+	ctx := context.Background()
+	if _, err := e.Submit(ctx, Request{Benchmark: "H2-4", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-backend.started
+	if _, err := e.Submit(ctx, Request{Benchmark: "H2-4", Seed: 2, Priority: PriorityBatch}); err != nil {
+		t.Fatal(err)
+	}
+	tk, err := e.resolve(Request{Benchmark: "H2-4", Seed: 3, Priority: PriorityBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCtx, giveUp := context.WithCancel(obs.ContextWithTraceID(ctx, "given-up"))
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := e.enqueue(waitCtx, tk, true)
+		blocked <- err
+	}()
+	for len(jobsByTrace(e, "given-up")) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	giveUp()
+	select {
+	case err := <-blocked:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("given-up batch enqueue returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("given-up batch enqueue still blocked on the full queue")
+	}
+	if js := jobsByTrace(e, "given-up"); len(js) != 0 {
+		t.Fatalf("given-up job still in the job table: %+v", js[0])
+	}
+}
+
 // TestCancelVsFinishRace hammers the Cancel-while-finishing window: every
 // job must land in exactly done or cancelled, never wedge. Run with -race.
 func TestCancelVsFinishRace(t *testing.T) {
