@@ -36,10 +36,7 @@ func (b zonedBackend) Compile(ctx context.Context, tgt compiler.Target, circ *ci
 	if err != nil {
 		return nil, err
 	}
-	res, err := zoned.CompileContext(ctx, geo, params, circ, zoned.Options{
-		Seed:  opts.Seed,
-		Gamma: opts.Gamma,
-	})
+	res, err := zoned.CompileContext(ctx, geo, params, circ, zoned.Options{Gamma: opts.Gamma})
 	if err != nil {
 		return nil, err
 	}

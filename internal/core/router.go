@@ -72,14 +72,13 @@ func route(ctx context.Context, cfg hardware.Config, routed *circuit.Circuit, si
 			break
 		}
 
-		// Phase 2: greedily batch legal parallel two-qubit gates.
+		// Phase 2: greedily batch legal parallel two-qubit gates. Phase 1
+		// left only two-qubit gates in the frontier, and tryAdd executes
+		// none, so the frontier is read in place.
 		var batch []int
 		plan := st.stagePlanFor()
-		for _, gi := range append([]int(nil), front.Front()...) {
+		for _, gi := range front.Front() {
 			g := front.Gate(gi)
-			if !g.IsTwoQubit() {
-				continue
-			}
 			if opts.SerialRouter && len(batch) >= 1 {
 				break
 			}

@@ -28,7 +28,6 @@ package zoned
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"atomique/internal/circuit"
@@ -41,9 +40,6 @@ import (
 // Options configures a zoned compilation. The zero value is the default
 // configuration.
 type Options struct {
-	// Seed is accepted for interface uniformity with the other compilers;
-	// the zoned scheduler is fully deterministic and does not consume it.
-	Seed int64
 	// Gamma is the per-layer decay of gate-frequency edge weights used by
 	// the storage placement ranking (default 0.95, like the flat mapper).
 	Gamma float64
@@ -100,11 +96,7 @@ func CompileContext(ctx context.Context, geo hardware.ZoneGeometry, p hardware.P
 			circ.N, geo.StorageCapacity())
 	}
 	start := time.Now()
-	st := &pipeline.State{
-		Circ: circ,
-		Seed: opts.Seed,
-		Rng:  rand.New(rand.NewSource(opts.Seed)),
-	}
+	st := &pipeline.State{Circ: circ}
 	timings, err := pipeline.New(Passes(geo, p, opts)...).Run(ctx, st)
 	if err != nil {
 		return nil, err
