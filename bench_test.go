@@ -58,8 +58,8 @@ func BenchmarkFig23(b *testing.B) { runExperiment(b, "fig23") }
 func BenchmarkFig24(b *testing.B) { runExperiment(b, "fig24") }
 func BenchmarkFig25(b *testing.B) { runExperiment(b, "fig25") }
 
-// BenchmarkAblation covers the design-choice sweeps DESIGN.md calls out
-// (gamma decay, SABRE lookahead, reverse passes) beyond the paper's Fig 21.
+// BenchmarkAblation covers the tuning sweeps beyond the paper's Fig 21:
+// gamma decay, SABRE lookahead and reverse passes.
 func BenchmarkAblation(b *testing.B) { runExperiment(b, "ablation") }
 
 // BenchmarkScaling measures compile time versus circuit size (the

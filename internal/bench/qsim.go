@@ -139,7 +139,7 @@ func H2() *circuit.Circuit {
 // molecular-statistics Pauli set (terms with mean weight ~3.45, matching the
 // published operator pool) sized so that the total two-qubit gate count
 // approaches Table II's 1134. The compiler sees the same Trotter structure
-// either way (substitution documented in DESIGN.md).
+// either way (README's Benchmarks section notes the substitution).
 func LiH(n int, seed int64) *circuit.Circuit {
 	if n < 4 {
 		panic("bench: LiH needs >= 4 qubits")

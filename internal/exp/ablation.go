@@ -11,8 +11,8 @@ import (
 	"atomique/internal/sabre"
 )
 
-// Ablations sweeps the design choices DESIGN.md calls out beyond the paper's
-// own Fig 21 breakdown: the gate-frequency decay factor gamma (Sec. III-A),
+// Ablations sweeps design choices beyond the paper's own Fig 21 breakdown:
+// the gate-frequency decay factor gamma (Sec. III-A),
 // SABRE's lookahead window, and the number of reverse-traversal refinement
 // passes. These quantify how sensitive the pipeline is to its tuning knobs.
 func Ablations() []*report.Table {

@@ -245,11 +245,12 @@ func parseGate(stmt string) (circuit.Op, float64, []int, error) {
 		name = stmt[:i]
 		rest = stmt[i+1:]
 	}
-	op, ok := opByName[strings.ToLower(name)]
+	key := strings.ToLower(name)
+	op, ok := opByName[key]
 	if !ok {
 		return 0, 0, nil, fmt.Errorf("unsupported gate %q", name)
 	}
-	if a, ok := fixedAngle[strings.ToLower(name)]; ok {
+	if a, ok := fixedAngle[key]; ok {
 		param = a
 	}
 	var args []int
