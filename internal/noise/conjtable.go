@@ -123,17 +123,23 @@ func cliffordQuarterOdd(g circuit.Gate) bool {
 }
 
 // accumulate XORs one event's end-of-circuit Pauli image into the frame.
-// A 1Q event's pauli is below 4, so its Q1 half is the identity.
 func (ct *conjTable) accumulate(f *stab.Frame, e *event) {
 	if e.site >= 0 {
 		// Gate-attached: the site's generator images are exactly the
 		// conjugation of a Pauli injected right after that gate.
 		ct.accumGen(f, e.site, 0, e.pauli&3)
-		ct.accumGen(f, e.site, 1, e.pauli>>2)
+		if e.kind == Pauli2Q {
+			ct.accumGen(f, e.site, 1, e.pauli>>2)
+		}
 		return
 	}
-	ct.accumQubit(f, e.pos, e.q0, e.pauli&3)
-	ct.accumQubit(f, e.pos, e.q1, e.pauli>>2)
+	switch e.kind {
+	case Pauli2Q:
+		ct.accumQubit(f, e.pos, e.q0, e.pauli&3)
+		ct.accumQubit(f, e.pos, e.q1, e.pauli>>2)
+	default: // Pauli1Q fallback, Dephase
+		ct.accumQubit(f, e.pos, e.q0, e.pauli&3)
+	}
 }
 
 // accumGen XORs the image of Pauli p (1=X, 2=Y, 3=Z) on generator slot
