@@ -109,26 +109,20 @@ func CompileRouted(a Arch, circ *circuit.Circuit, seed int64) (metrics.Compiled,
 	routed := res.Routed
 	depth2Q := routed.Depth2Q()
 	oneQLayers := routed.Num1QLayers()
-	static := fidelity.Static{
-		NQubits:   circ.N,
-		N1Q:       routed.Num1Q(),
-		N1QLayers: oneQLayers,
-		N2Q:       routed.Num2Q(),
-		Depth2Q:   depth2Q,
-	}
-	bd := fidelity.Evaluate(a.Params, static, fidelity.MovementTrace{})
-	return metrics.Compiled{
-		Arch:          a.Name,
-		NQubits:       circ.N,
-		N2Q:           routed.Num2Q(),
-		N1Q:           routed.Num1Q(),
-		Depth2Q:       depth2Q,
-		N1QLayers:     oneQLayers,
+	m := metrics.Compiled{
+		Arch: a.Name,
+		Counts: fidelity.Counts{
+			NQubits:   circ.N,
+			N2Q:       routed.Num2Q(),
+			N1Q:       routed.Num1Q(),
+			Depth2Q:   depth2Q,
+			N1QLayers: oneQLayers,
+		},
 		SwapCount:     res.SwapCount,
-		AddedCNOTs:    res.AddedCNOTs(),
 		ExecutionTime: float64(depth2Q)*a.Params.Time2Q + float64(oneQLayers)*a.Params.Time1Q,
-		Fidelity:      bd,
-	}, res, nil
+	}
+	m.Evaluate(a.Params, fidelity.MovementTrace{})
+	return m, res, nil
 }
 
 // decomposeZZ lowers each ZZ interaction to CX·RZ·CX for hardware without a

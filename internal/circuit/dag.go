@@ -53,6 +53,7 @@ type Frontier struct {
 	inFrnt []bool
 	done   []bool
 	left   int
+	batch  []int // DrainOneQubit's per-layer scratch
 }
 
 // NewFrontier returns a fresh traversal over the DAG.
@@ -110,3 +111,29 @@ func (f *Frontier) Execute(i int) {
 
 // Done reports whether every gate has been executed.
 func (f *Frontier) Done() bool { return f.left == 0 }
+
+// DrainOneQubit executes every ready one-qubit gate, layer by layer, until
+// only two-qubit gates are ready or none are left, and returns the number of
+// layers. A layer is the one-qubit gates ready when it starts, in frontier
+// order; fn, if not nil, sees each gate just before it executes.
+func (f *Frontier) DrainOneQubit(fn func(Gate)) int {
+	layers := 0
+	for {
+		f.batch = f.batch[:0]
+		for _, gi := range f.front {
+			if !f.Gate(gi).IsTwoQubit() {
+				f.batch = append(f.batch, gi)
+			}
+		}
+		if len(f.batch) == 0 {
+			return layers
+		}
+		for _, gi := range f.batch {
+			if fn != nil {
+				fn(f.Gate(gi))
+			}
+			f.Execute(gi)
+		}
+		layers++
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"atomique/internal/circuit"
 	"atomique/internal/compiler"
+	"atomique/internal/fidelity"
 	"atomique/internal/geyser"
 	"atomique/internal/metrics"
 )
@@ -44,9 +45,7 @@ func (b geyserBackend) Compile(ctx context.Context, tgt compiler.Target, circ *c
 		Backend: b.Name(),
 		Metrics: metrics.Compiled{
 			Arch:        "Geyser",
-			NQubits:     circ.N,
-			N2Q:         r.Routed2Q,
-			N1Q:         circ.Num1Q(),
+			Counts:      fidelity.Counts{NQubits: circ.N, N2Q: r.Routed2Q, N1Q: circ.Num1Q()},
 			SwapCount:   r.SwapCount,
 			AddedCNOTs:  3 * r.SwapCount,
 			CompileTime: time.Since(start),

@@ -80,13 +80,11 @@ type Result struct {
 	// insertion permutes logical states among atoms).
 	FinalSlotOf []int
 	// Schedule is the executable movement/gate program.
-	Schedule *Schedule
+	Schedule *pipeline.Schedule
 	// Metrics summarises the compilation.
 	Metrics metrics.Compiled
 	// Trace is the movement trace for fidelity evaluation.
 	Trace fidelity.MovementTrace
-	// Static is the gate-count summary for fidelity evaluation.
-	Static fidelity.Static
 }
 
 // Compile runs the full Atomique pipeline on circ for the machine cfg.
@@ -129,7 +127,6 @@ func CompileContext(ctx context.Context, cfg hardware.Config, circ *circuit.Circ
 		Schedule:      st.Schedule,
 		Metrics:       m,
 		Trace:         st.Trace,
-		Static:        st.Static,
 	}, nil
 }
 

@@ -100,30 +100,22 @@ type fidelityPass struct{ opts Options }
 func (p fidelityPass) Name() string { return "fidelity" }
 
 func (p fidelityPass) Run(_ context.Context, st *pipeline.State) error {
-	st.Static = fidelity.Static{
-		NQubits:   st.Circ.N,
-		N1Q:       st.Routed.Num1Q(),
-		N1QLayers: st.Router.OneQLayers,
-		N2Q:       st.Routed.Num2Q(),
-		Depth2Q:   st.Router.Stages,
-	}
-	bd := fidelity.Evaluate(st.Cfg.Params, st.Static, st.Trace)
 	st.Metrics = metrics.Compiled{
-		Arch:          "Atomique",
-		NQubits:       st.Circ.N,
-		N2Q:           st.Routed.Num2Q(),
-		N1Q:           st.Routed.Num1Q(),
-		Depth2Q:       st.Router.Stages,
-		N1QLayers:     st.Router.OneQLayers,
+		Arch: "Atomique",
+		Counts: fidelity.Counts{
+			NQubits:   st.Circ.N,
+			N2Q:       st.Routed.Num2Q(),
+			N1Q:       st.Routed.Num1Q(),
+			Depth2Q:   st.Router.Stages,
+			N1QLayers: st.Router.OneQLayers,
+		},
 		SwapCount:     st.SwapCount,
-		AddedCNOTs:    3 * st.SwapCount,
 		ExecutionTime: st.Router.ExecTime,
 		MoveStages:    st.Router.Stages,
 		TotalMoveDist: st.Router.TotalDist,
-		AvgMoveDist:   st.Router.AvgDist(),
 		CoolingEvents: st.Router.Coolings,
 		Overlaps:      st.Router.Overlaps,
-		Fidelity:      bd,
 	}
+	st.Metrics.Evaluate(st.Cfg.Params, st.Trace)
 	return nil
 }

@@ -46,29 +46,27 @@ func compileReference(cfg hardware.Config, circ *circuit.Circuit, opts Options) 
 	if err != nil {
 		return nil, nil, err
 	}
-	static := fidelity.Static{
+	counts := fidelity.Counts{
 		NQubits:   circ.N,
-		N1Q:       routed.Num1Q(),
-		N1QLayers: stats.OneQLayers,
 		N2Q:       routed.Num2Q(),
+		N1Q:       routed.Num1Q(),
 		Depth2Q:   stats.Stages,
+		N1QLayers: stats.OneQLayers,
 	}
 	m := metrics.Compiled{
 		Arch:          "Atomique",
-		NQubits:       circ.N,
-		N2Q:           routed.Num2Q(),
-		N1Q:           routed.Num1Q(),
-		Depth2Q:       stats.Stages,
-		N1QLayers:     stats.OneQLayers,
+		Counts:        counts,
 		SwapCount:     swaps,
 		AddedCNOTs:    3 * swaps,
 		ExecutionTime: stats.ExecTime,
 		MoveStages:    stats.Stages,
 		TotalMoveDist: stats.TotalDist,
-		AvgMoveDist:   stats.AvgDist(),
 		CoolingEvents: stats.Coolings,
 		Overlaps:      stats.Overlaps,
-		Fidelity:      fidelity.Evaluate(cfg.Params, static, trace),
+		Fidelity:      fidelity.Evaluate(cfg.Params, counts, trace),
+	}
+	if stats.Stages > 0 {
+		m.AvgMoveDist = stats.TotalDist / float64(stats.Stages)
 	}
 	return &Result{
 		ArrayOf:       arrayOf,
@@ -78,7 +76,6 @@ func compileReference(cfg hardware.Config, circ *circuit.Circuit, opts Options) 
 		Schedule:      sched,
 		Metrics:       m,
 		Trace:         trace,
-		Static:        static,
 	}, routed, nil
 }
 

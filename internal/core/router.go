@@ -29,11 +29,11 @@ import (
 // position and the other array meets it there. Constraint checks operate on
 // actively bound rows/columns, matching the abstraction level of Figs 9-11.
 func route(ctx context.Context, cfg hardware.Config, routed *circuit.Circuit, siteOf []hardware.Site,
-	sizes []int, opts Options) (*Schedule, fidelity.MovementTrace, pipeline.RouterStats, error) {
+	sizes []int, opts Options) (*pipeline.Schedule, fidelity.MovementTrace, pipeline.RouterStats, error) {
 
 	st := newRouterState(cfg, siteOf, opts)
 	front := circuit.NewFrontier(circuit.NewDAG(routed))
-	sched := &Schedule{}
+	sched := &pipeline.Schedule{}
 	var trace fidelity.MovementTrace
 	var stats pipeline.RouterStats
 
@@ -43,28 +43,13 @@ func route(ctx context.Context, cfg hardware.Config, routed *circuit.Circuit, si
 		if err := ctx.Err(); err != nil {
 			return nil, fidelity.MovementTrace{}, pipeline.RouterStats{}, fmt.Errorf("core: compilation cancelled: %w", err)
 		}
-		stage := Stage{}
+		stage := pipeline.Stage{}
 
-		// Phase 1: drain one-qubit gates layer by layer (each pass over the
-		// frontier is one parallel Raman layer).
-		for {
-			var batch []int
-			for _, gi := range front.Front() {
-				if !front.Gate(gi).IsTwoQubit() {
-					batch = append(batch, gi)
-				}
-			}
-			if len(batch) == 0 {
-				break
-			}
-			for _, gi := range batch {
-				g := front.Gate(gi)
-				stage.OneQ = append(stage.OneQ, GateExec{Op: g.Op, SlotA: g.Q0, SlotB: -1, Param: g.Param})
-				front.Execute(gi)
-			}
-			stats.OneQLayers++
-			stats.ExecTime += cfg.Params.Time1Q
-		}
+		// Phase 1: drain one-qubit gates layer by layer (each layer is one
+		// parallel Raman pulse).
+		stats.AddOneQLayers(front.DrainOneQubit(func(g circuit.Gate) {
+			stage.OneQ = append(stage.OneQ, pipeline.GateExec{Op: g.Op, SlotA: g.Q0, SlotB: -1, Param: g.Param})
+		}), cfg.Params.Time1Q)
 		if front.Done() {
 			if len(stage.OneQ) > 0 {
 				sched.Stages = append(sched.Stages, stage)
@@ -121,7 +106,7 @@ func route(ctx context.Context, cfg hardware.Config, routed *circuit.Circuit, si
 
 		for _, gi := range batch {
 			g := front.Gate(gi)
-			stage.Gates = append(stage.Gates, GateExec{Op: g.Op, SlotA: g.Q0, SlotB: g.Q1, Param: g.Param})
+			stage.Gates = append(stage.Gates, pipeline.GateExec{Op: g.Op, SlotA: g.Q0, SlotB: g.Q1, Param: g.Param})
 			front.Execute(gi)
 			trace.GateNvib = append(trace.GateNvib, st.gateNvib(g.Q0, g.Q1))
 		}
@@ -644,9 +629,9 @@ func (st *routerState) slmAtomAt(key [2]int64) (int, bool) {
 // displacement scratch used for heating. Bindings are committed in sorted
 // index order so the emitted move list is deterministic (the schedule is
 // part of the per-seed-reproducible contract the service cache relies on).
-func (p *stagePlan) commitMoves() []Move {
+func (p *stagePlan) commitMoves() []pipeline.Move {
 	st := p.st
-	var moves []Move
+	var moves []pipeline.Move
 	var idxs []int
 	for a := 1; a < st.cfg.NumArrays(); a++ {
 		for i := range st.rowDisp[a] {
@@ -674,7 +659,7 @@ func (p *stagePlan) commitMoves() []Move {
 				continue // pinned in place
 			}
 			parked, retreat := park(y)
-			moves = append(moves, Move{Array: a, IsRow: true, Index: r, From: cur, To: y})
+			moves = append(moves, pipeline.Move{Array: a, IsRow: true, Index: r, From: cur, To: y})
 			st.rowDisp[a][r] = math.Abs(y-cur) + retreat // travel + retreat
 			st.rowCoord[a][r] = parked
 		}
@@ -687,7 +672,7 @@ func (p *stagePlan) commitMoves() []Move {
 				continue
 			}
 			parked, retreat := park(x)
-			moves = append(moves, Move{Array: a, IsRow: false, Index: c, From: cur, To: x})
+			moves = append(moves, pipeline.Move{Array: a, IsRow: false, Index: c, From: cur, To: x})
 			st.colDisp[a][c] = math.Abs(x-cur) + retreat
 			st.colCoord[a][c] = parked
 		}

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"atomique/internal/pipeline"
 )
 
 // VerifySchedule checks the structural invariants of a compiled result
@@ -51,7 +53,7 @@ func VerifySchedule(res *Result, opts Options) error {
 	return nil
 }
 
-func verifyMoves(stage Stage, si int, opts Options) error {
+func verifyMoves(stage pipeline.Stage, si int, opts Options) error {
 	type axis struct {
 		array int
 		isRow bool

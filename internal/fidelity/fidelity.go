@@ -57,15 +57,15 @@ func Labels() []string {
 		"Move Cooling", "Move Atom Loss", "Move Decoherence"}
 }
 
-// Static describes the movement-independent part of an execution: gate
-// counts, layer counts, and qubit count.
-type Static struct {
-	NQubits   int
-	N1Q       int // one-qubit gates executed
-	N1QLayers int // parallel 1Q layers (cumulative 1Q time = layers * t1Q)
-	N2Q       int // two-qubit interactions executed (incl. SWAP decomposition)
-	Depth2Q   int // parallel 2Q layers (cumulative 2Q time = depth * t2Q)
-	Transfers int // SLM<->AOD atom transfers
+// Counts is the movement-independent part of an execution: qubit, gate and
+// layer counts. The JSON names are the compile envelope's, which embeds
+// Counts in its metrics record (internal/metrics.Compiled).
+type Counts struct {
+	NQubits   int `json:"nQubits"`
+	N2Q       int `json:"n2Q"`       // two-qubit interactions executed (incl. SWAP decomposition)
+	N1Q       int `json:"n1Q"`       // one-qubit gates executed
+	Depth2Q   int `json:"depth2Q"`   // parallel 2Q layers (cumulative 2Q time = depth * t2Q)
+	N1QLayers int `json:"n1QLayers"` // parallel 1Q layers (cumulative 1Q time = layers * t1Q)
 }
 
 // MovementTrace carries the movement-dependent quantities a RAA schedule
@@ -87,19 +87,21 @@ type MovementTrace struct {
 	StageQubits []int
 	// StageMoveTime holds, per movement stage, the movement duration T_mov,i.
 	StageMoveTime []float64
+	// Transfers counts atom transfers between static and moving traps.
+	Transfers int
 }
 
 // Evaluate computes the full fidelity breakdown for an execution on hardware
 // with parameters p. Pass a zero MovementTrace for fixed architectures.
-func Evaluate(p hardware.Params, s Static, m MovementTrace) Breakdown {
-	n := float64(s.NQubits)
+func Evaluate(p hardware.Params, c Counts, m MovementTrace) Breakdown {
+	n := float64(c.NQubits)
 	b := Breakdown{
-		OneQubit: math.Pow(p.Fidelity1Q, float64(s.N1Q)) *
-			math.Exp(-float64(s.N1QLayers)*p.Time1Q/p.CoherenceT1*n),
-		TwoQubit: math.Pow(p.Fidelity2Q, float64(s.N2Q)) *
-			math.Exp(-float64(s.Depth2Q)*p.Time2Q/p.CoherenceT1*n),
-		Transfer: math.Pow(1-p.TransferLossP, float64(s.Transfers)) *
-			math.Exp(-float64(s.Transfers)*p.TransferTime/p.CoherenceT1*n),
+		OneQubit: math.Pow(p.Fidelity1Q, float64(c.N1Q)) *
+			math.Exp(-float64(c.N1QLayers)*p.Time1Q/p.CoherenceT1*n),
+		TwoQubit: math.Pow(p.Fidelity2Q, float64(c.N2Q)) *
+			math.Exp(-float64(c.Depth2Q)*p.Time2Q/p.CoherenceT1*n),
+		Transfer: math.Pow(1-p.TransferLossP, float64(m.Transfers)) *
+			math.Exp(-float64(m.Transfers)*p.TransferTime/p.CoherenceT1*n),
 		MoveHeating: 1,
 		MoveCooling: 1,
 		MoveLoss:    1,

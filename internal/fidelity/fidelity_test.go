@@ -30,7 +30,7 @@ func TestLossProbabilityMatchesPaperValues(t *testing.T) {
 
 func TestEvaluateStaticOnly(t *testing.T) {
 	p := hardware.NeutralAtom()
-	s := Static{NQubits: 10, N1Q: 100, N1QLayers: 20, N2Q: 50, Depth2Q: 25}
+	s := Counts{NQubits: 10, N1Q: 100, N1QLayers: 20, N2Q: 50, Depth2Q: 25}
 	b := Evaluate(p, s, MovementTrace{})
 	// Movement factors must be exactly 1.
 	if b.MoveHeating != 1 || b.MoveCooling != 1 || b.MoveLoss != 1 || b.MoveDeco != 1 {
@@ -57,7 +57,7 @@ func TestMoveDecoMatchesPaperWorkedExample(t *testing.T) {
 	// -> exp(-300e-6/1.5 * 10) = 0.998.
 	p := hardware.NeutralAtom()
 	p.CoherenceT1 = 1.5
-	b := Evaluate(p, Static{NQubits: 10}, MovementTrace{
+	b := Evaluate(p, Counts{NQubits: 10}, MovementTrace{
 		StageQubits:   []int{10},
 		StageMoveTime: []float64{300e-6},
 	})
@@ -65,7 +65,7 @@ func TestMoveDecoMatchesPaperWorkedExample(t *testing.T) {
 		t.Errorf("MoveDeco = %v, want ~0.998", b.MoveDeco)
 	}
 	// 100 qubits -> 0.98.
-	b = Evaluate(p, Static{NQubits: 100}, MovementTrace{
+	b = Evaluate(p, Counts{NQubits: 100}, MovementTrace{
 		StageQubits:   []int{100},
 		StageMoveTime: []float64{300e-6},
 	})
@@ -76,13 +76,13 @@ func TestMoveDecoMatchesPaperWorkedExample(t *testing.T) {
 
 func TestHeatingFactor(t *testing.T) {
 	p := hardware.NeutralAtom()
-	b := Evaluate(p, Static{NQubits: 2}, MovementTrace{GateNvib: []float64{10}})
+	b := Evaluate(p, Counts{NQubits: 2}, MovementTrace{GateNvib: []float64{10}})
 	want := 1 - p.Lambda*(1-p.Fidelity2Q)*10
 	if math.Abs(b.MoveHeating-want) > 1e-12 {
 		t.Errorf("MoveHeating = %v, want %v", b.MoveHeating, want)
 	}
 	// Enormous nvib clamps at zero rather than going negative.
-	b = Evaluate(p, Static{NQubits: 2}, MovementTrace{GateNvib: []float64{1e9}})
+	b = Evaluate(p, Counts{NQubits: 2}, MovementTrace{GateNvib: []float64{1e9}})
 	if b.MoveHeating != 0 {
 		t.Errorf("MoveHeating = %v, want clamp to 0", b.MoveHeating)
 	}
@@ -90,7 +90,7 @@ func TestHeatingFactor(t *testing.T) {
 
 func TestCoolingFactor(t *testing.T) {
 	p := hardware.NeutralAtom()
-	b := Evaluate(p, Static{NQubits: 2}, MovementTrace{CoolingAtomCounts: []int{25}})
+	b := Evaluate(p, Counts{NQubits: 2}, MovementTrace{CoolingAtomCounts: []int{25}})
 	want := math.Pow(p.Fidelity2Q, 50)
 	if math.Abs(b.MoveCooling-want) > 1e-12 {
 		t.Errorf("MoveCooling = %v, want %v", b.MoveCooling, want)
@@ -99,7 +99,7 @@ func TestCoolingFactor(t *testing.T) {
 
 func TestTransferFactor(t *testing.T) {
 	p := hardware.NeutralAtom()
-	b := Evaluate(p, Static{NQubits: 5, Transfers: 3}, MovementTrace{})
+	b := Evaluate(p, Counts{NQubits: 5}, MovementTrace{Transfers: 3})
 	want := math.Pow(1-p.TransferLossP, 3) * math.Exp(-3*p.TransferTime/p.CoherenceT1*5)
 	if math.Abs(b.Transfer-want) > 1e-12 {
 		t.Errorf("Transfer = %v, want %v", b.Transfer, want)
@@ -128,15 +128,14 @@ func TestEvaluateMonotoneProperty(t *testing.T) {
 	p := hardware.NeutralAtom()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := Static{
+		s := Counts{
 			NQubits:   1 + rng.Intn(100),
 			N1Q:       rng.Intn(1000),
 			N1QLayers: rng.Intn(100),
 			N2Q:       rng.Intn(1000),
 			Depth2Q:   rng.Intn(500),
-			Transfers: rng.Intn(10),
 		}
-		m := MovementTrace{}
+		m := MovementTrace{Transfers: rng.Intn(10)}
 		for i := 0; i < rng.Intn(20); i++ {
 			m.GateNvib = append(m.GateNvib, rng.Float64()*20)
 			m.MoveNvib = append(m.MoveNvib, rng.Float64()*30)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"atomique/internal/fidelity"
+	"atomique/internal/hardware"
 )
 
 // Compiled summarises one compilation outcome. The JSON field names are the
@@ -19,11 +20,9 @@ type Compiled struct {
 	Name string `json:"name,omitempty"` // benchmark name
 	Arch string `json:"arch"`           // architecture/compiler label
 
-	NQubits   int `json:"nQubits"`
-	N2Q       int `json:"n2Q"`       // two-qubit interactions executed (incl. SWAP decomposition)
-	N1Q       int `json:"n1Q"`       // one-qubit gates executed
-	Depth2Q   int `json:"depth2Q"`   // parallel two-qubit layers (router stages on RAA)
-	N1QLayers int `json:"n1QLayers"` // parallel one-qubit layers
+	// Counts are the qubit, gate and layer counts the fidelity model
+	// takes; Depth2Q is the router's stage count on RAA.
+	fidelity.Counts
 
 	SwapCount  int `json:"swapCount"`  // SWAPs inserted during routing
 	AddedCNOTs int `json:"addedCNOTs"` // CNOT overhead of SWAP insertion (3 per SWAP)
@@ -54,6 +53,18 @@ type PassTiming struct {
 	Seconds float64 `json:"seconds"`
 	Gates   int     `json:"gates"`
 	Moves   int     `json:"moves"`
+}
+
+// Evaluate sets the fields derived from the rest of the record: Fidelity,
+// the Sec. IV model of the counts and trace on hardware p; AddedCNOTs, three
+// per SWAP; and AvgMoveDist, the mean distance per movement stage.
+func (c *Compiled) Evaluate(p hardware.Params, trace fidelity.MovementTrace) {
+	c.Fidelity = fidelity.Evaluate(p, c.Counts, trace)
+	c.AddedCNOTs = 3 * c.SwapCount
+	c.AvgMoveDist = 0
+	if c.MoveStages > 0 {
+		c.AvgMoveDist = c.TotalMoveDist / float64(c.MoveStages)
+	}
 }
 
 // FidelityTotal is shorthand for the total fidelity product.

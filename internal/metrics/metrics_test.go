@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"atomique/internal/fidelity"
+	"atomique/internal/hardware"
 )
 
 func TestGeoMean(t *testing.T) {
@@ -59,5 +60,34 @@ func TestFidelityTotal(t *testing.T) {
 	}}
 	if got := c.FidelityTotal(); math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("FidelityTotal = %v, want 0.25", got)
+	}
+}
+
+// TestEvaluateDerivesFields pins the one derivation step every backend's
+// record goes through: the fidelity model of the embedded counts, three
+// CNOTs per SWAP, and the distance per movement stage (0 without stages).
+func TestEvaluateDerivesFields(t *testing.T) {
+	p := hardware.NeutralAtom()
+	trace := fidelity.MovementTrace{GateNvib: []float64{3}, StageQubits: []int{4}, Transfers: 2}
+	c := Compiled{
+		Counts:        fidelity.Counts{NQubits: 4, N2Q: 9, N1Q: 5, Depth2Q: 3, N1QLayers: 2},
+		SwapCount:     2,
+		MoveStages:    3,
+		TotalMoveDist: 6e-6,
+	}
+	c.Evaluate(p, trace)
+	if want := fidelity.Evaluate(p, c.Counts, trace); c.Fidelity != want {
+		t.Errorf("Fidelity = %+v, want %+v", c.Fidelity, want)
+	}
+	if c.AddedCNOTs != 6 {
+		t.Errorf("AddedCNOTs = %d with 2 SWAPs, want 6", c.AddedCNOTs)
+	}
+	if c.AvgMoveDist != 2e-6 {
+		t.Errorf("AvgMoveDist = %v, want 2e-6", c.AvgMoveDist)
+	}
+	c.MoveStages = 0
+	c.Evaluate(p, trace)
+	if c.AvgMoveDist != 0 {
+		t.Errorf("AvgMoveDist = %v with no movement stage, want 0", c.AvgMoveDist)
 	}
 }

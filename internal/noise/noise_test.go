@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"atomique/internal/circuit"
+	"atomique/internal/fidelity"
 	"atomique/internal/hardware"
 	"atomique/internal/metrics"
 	"atomique/internal/stab"
@@ -162,7 +163,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 // FidelityTotal (the gate parts divide out exactly).
 func TestBuildReproducesAnalyticTotal(t *testing.T) {
 	p := hardware.NeutralAtom()
-	bd := metrics.Compiled{NQubits: 8, N1Q: 120, N2Q: 90}
+	bd := metrics.Compiled{Counts: fidelity.Counts{NQubits: 8, N1Q: 120, N2Q: 90}}
 	bd.Fidelity.OneQubit = math.Pow(p.Fidelity1Q, 120) * 0.999
 	bd.Fidelity.TwoQubit = math.Pow(p.Fidelity2Q, 90) * 0.998
 	bd.Fidelity.Transfer = 0.97
@@ -182,7 +183,7 @@ func TestBuildReproducesAnalyticTotal(t *testing.T) {
 // Geyser comparator) yields gate-error channels only.
 func TestBuildWithoutBreakdown(t *testing.T) {
 	p := hardware.NeutralAtom()
-	mo := Build(p, metrics.Compiled{NQubits: 4, N1Q: 10, N2Q: 6})
+	mo := Build(p, metrics.Compiled{Counts: fidelity.Counts{NQubits: 4, N1Q: 10, N2Q: 6}})
 	if len(mo.Channels) != 2 {
 		t.Fatalf("channels = %+v, want exactly the two gate channels", mo.Channels)
 	}

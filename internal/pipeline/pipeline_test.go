@@ -142,16 +142,6 @@ func TestTimingCountsTrackState(t *testing.T) {
 	}
 }
 
-func TestRouterStatsAvgDist(t *testing.T) {
-	if d := (RouterStats{}).AvgDist(); d != 0 {
-		t.Errorf("zero-stage AvgDist = %v", d)
-	}
-	s := RouterStats{TotalDist: 6, Stages: 3}
-	if d := s.AvgDist(); d != 2 {
-		t.Errorf("AvgDist = %v, want 2", d)
-	}
-}
-
 func ExamplePipeline_Run() {
 	p := New(namedPass("hello", func(*State) error { return nil }))
 	timings, _ := p.Run(context.Background(), &State{})

@@ -41,7 +41,6 @@ type State struct {
 	Router   RouterStats
 
 	// Final summary.
-	Static  fidelity.Static
 	Metrics metrics.Compiled
 }
 
@@ -89,10 +88,12 @@ type RouterStats struct {
 	Stages     int     // movement stages
 }
 
-// AvgDist returns the mean movement distance per stage.
-func (s RouterStats) AvgDist() float64 {
-	if s.Stages == 0 {
-		return 0
+// AddOneQLayers records n parallel one-qubit layers of t seconds each. The
+// time accrues one layer at a time, as the schedulers always added it, so
+// ExecTime rounds the same.
+func (s *RouterStats) AddOneQLayers(n int, t float64) {
+	s.OneQLayers += n
+	for range n {
+		s.ExecTime += t
 	}
-	return s.TotalDist / float64(s.Stages)
 }

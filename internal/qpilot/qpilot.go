@@ -86,31 +86,25 @@ func CompileOn(params hardware.Params, circ *circuit.Circuit, _ int64) metrics.C
 		}
 	}
 
-	n1q := circ.Num1Q() + terms // the RZ inside each parity ladder
 	n1qLayers := circ.Num1QLayers() + waves
-	static := fidelity.Static{
-		NQubits:   n + ancillas,
-		N1Q:       n1q,
-		N1QLayers: n1qLayers,
-		N2Q:       gates2Q,
-		Depth2Q:   depth,
-	}
-	bd := fidelity.Evaluate(params, static, trace)
-	execTime := float64(waves)*(params.TimePerMove+4*params.Time2Q) +
-		float64(n1qLayers)*params.Time1Q
-	return metrics.Compiled{
-		Arch:          "Q-Pilot",
-		NQubits:       n,
-		N2Q:           gates2Q,
-		N1Q:           n1q,
-		Depth2Q:       depth,
-		N1QLayers:     n1qLayers,
-		ExecutionTime: execTime,
+	m := metrics.Compiled{
+		Arch: "Q-Pilot",
+		Counts: fidelity.Counts{
+			NQubits:   n + ancillas,
+			N2Q:       gates2Q,
+			N1Q:       circ.Num1Q() + terms, // the RZ inside each parity ladder
+			Depth2Q:   depth,
+			N1QLayers: n1qLayers,
+		},
+		ExecutionTime: float64(waves)*(params.TimePerMove+4*params.Time2Q) +
+			float64(n1qLayers)*params.Time1Q,
 		MoveStages:    waves,
 		TotalMoveDist: float64(len(trace.MoveNvib)) * 2 * params.AtomDistance,
 		CoolingEvents: coolings,
-		Fidelity:      bd,
 	}
+	m.Evaluate(params, trace)
+	m.NQubits = n // the model counts the ancillas; the record, the compute qubits
+	return m
 }
 
 // Ancillas returns the flying-ancilla count for an n-qubit circuit (one per

@@ -54,3 +54,16 @@ func TestEmptyCircuit(t *testing.T) {
 		t.Errorf("empty circuit produced work: %+v", m)
 	}
 }
+
+// TestAvgMoveDistPerWave checks that the average move distance is the total
+// spread over the movement stages (the ancilla waves), as on every other
+// movement backend.
+func TestAvgMoveDistPerWave(t *testing.T) {
+	m := Compile(bench.QAOARandom(10, 0.5, 11), 1)
+	if m.MoveStages == 0 || m.TotalMoveDist == 0 {
+		t.Fatalf("no movement recorded: %+v", m)
+	}
+	if want := m.TotalMoveDist / float64(m.MoveStages); m.AvgMoveDist != want {
+		t.Errorf("AvgMoveDist = %v, want TotalMoveDist/MoveStages = %v", m.AvgMoveDist, want)
+	}
+}

@@ -15,10 +15,7 @@ import (
 func sampleMetrics() metrics.Compiled {
 	return metrics.Compiled{
 		Arch:        "Atomique",
-		NQubits:     4,
-		N2Q:         3,
-		N1Q:         1,
-		Depth2Q:     3,
+		Counts:      fidelity.Counts{NQubits: 4, N2Q: 3, N1Q: 1, Depth2Q: 3},
 		CompileTime: 1500 * time.Microsecond,
 		Fidelity: fidelity.Breakdown{
 			OneQubit: 0.999, TwoQubit: 0.99, Transfer: 1,

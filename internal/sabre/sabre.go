@@ -61,12 +61,9 @@ type Result struct {
 	// InitialMapping and FinalMapping map logical -> physical.
 	InitialMapping []int
 	FinalMapping   []int
-	// SwapCount is the number of SWAPs inserted; AddedCNOTs = 3*SwapCount.
+	// SwapCount is the number of SWAPs inserted.
 	SwapCount int
 }
-
-// AddedCNOTs returns the CNOT overhead of SWAP insertion (Fig 25's metric).
-func (r Result) AddedCNOTs() int { return 3 * r.SwapCount }
 
 // Route maps and routes c onto the coupling graph cg.
 func Route(c *circuit.Circuit, cg *graphs.Coupling, opts Options) Result {

@@ -71,9 +71,6 @@ func TestRouteGHZOnGrid(t *testing.T) {
 	c := bell(16)
 	r := Route(c, cg, Options{})
 	validateRouting(t, c, cg, r)
-	if r.AddedCNOTs() != 3*r.SwapCount {
-		t.Errorf("AddedCNOTs inconsistent")
-	}
 }
 
 func TestRouteOnHeavyHex(t *testing.T) {

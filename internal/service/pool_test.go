@@ -14,13 +14,14 @@ import (
 	"atomique/internal/admission"
 	"atomique/internal/circuit"
 	"atomique/internal/compiler"
+	"atomique/internal/fidelity"
 	"atomique/internal/metrics"
 	"atomique/internal/obs"
 )
 
 // stubResult is the canonical successful stub-backend payload.
 func stubResult(circ *circuit.Circuit) *compiler.Result {
-	return &compiler.Result{Backend: "stub", Metrics: metrics.Compiled{Arch: "stub", NQubits: circ.N}}
+	return &compiler.Result{Backend: "stub", Metrics: metrics.Compiled{Arch: "stub", Counts: fidelity.Counts{NQubits: circ.N}}}
 }
 
 // TestWorkerPanicRecovery: a panicking backend must fail the job (with the

@@ -15,6 +15,7 @@ import (
 	"atomique/internal/circuit"
 	"atomique/internal/compiler"
 	"atomique/internal/core"
+	"atomique/internal/fidelity"
 	"atomique/internal/hardware"
 	"atomique/internal/metrics"
 	"atomique/internal/report"
@@ -349,7 +350,7 @@ func TestTimedOutResultsNotCached(t *testing.T) {
 	e := newEngine(Config{Workers: 1}, func(_ context.Context, _ compiler.Backend, _ compiler.Target, circ *circuit.Circuit, _ compiler.Options) (*compiler.Result, error) {
 		calls++
 		return &compiler.Result{Backend: "stub", TimedOut: true,
-			Metrics: metrics.Compiled{Arch: "stub", NQubits: circ.N}}, nil
+			Metrics: metrics.Compiled{Arch: "stub", Counts: fidelity.Counts{NQubits: circ.N}}}, nil
 	})
 	defer e.Close()
 	for i := 0; i < 2; i++ {
@@ -400,7 +401,7 @@ func (b *blockingBackend) compile(ctx context.Context, _ compiler.Backend, _ com
 	b.started <- "started"
 	select {
 	case <-b.release:
-		return &compiler.Result{Backend: "stub", Metrics: metrics.Compiled{Arch: "stub", NQubits: circ.N}}, nil
+		return &compiler.Result{Backend: "stub", Metrics: metrics.Compiled{Arch: "stub", Counts: fidelity.Counts{NQubits: circ.N}}}, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}

@@ -10,15 +10,8 @@ import (
 	"atomique/internal/fidelity"
 	"atomique/internal/hardware"
 	"atomique/internal/move"
+	"atomique/internal/pipeline"
 )
-
-// schedStats aggregates scheduling counters.
-type schedStats struct {
-	oneQLayers int
-	execTime   float64
-	totalDist  float64
-	coolings   int
-}
 
 // placement assigns SLM slots to grid cells in broken-diagonal order and
 // aligns each AOD slot with its most frequent partner's cell.
@@ -95,17 +88,16 @@ func placement(routed *circuit.Circuit, sizes []int, size int) (row, col []int) 
 // exact maximum compatible subset (exponential branch-and-bound) and spends
 // the remaining budget on randomised restarts, keeping the best schedule —
 // an anytime-optimal loop standing in for the SMT solver. IterP packs
-// greedily in frontier order. Returns the two-qubit depth.
+// greedily in frontier order. The stats' Stages is the two-qubit depth.
 func schedule(routed *circuit.Circuit, sizes []int, opts Options,
-	deadline time.Time) (int, fidelity.MovementTrace, schedStats, bool) {
+	deadline time.Time) (fidelity.MovementTrace, pipeline.RouterStats, bool) {
 
 	rowOf, colOf := placement(routed, sizes, opts.ArraySize)
 	params := hardware.NeutralAtom()
 
 	type outcome struct {
-		depth int
 		trace fidelity.MovementTrace
-		stats schedStats
+		stats pipeline.RouterStats
 	}
 	run := func(rng *rand.Rand) (outcome, bool) {
 		sim := &simulator{
@@ -113,15 +105,15 @@ func schedule(routed *circuit.Circuit, sizes []int, opts Options,
 			params: params, exact: opts.Mode == Solver,
 			deadline: deadline, rng: rng,
 		}
-		depth, trace, stats, timedOut := sim.run()
-		return outcome{depth, trace, stats}, timedOut
+		trace, stats, timedOut := sim.run()
+		return outcome{trace, stats}, timedOut
 	}
 
 	// First pass is deterministic (program order); Solver mode then spends
 	// its remaining budget on randomised restarts.
 	best, timedOut := run(nil)
 	if timedOut {
-		return 0, fidelity.MovementTrace{}, schedStats{}, true
+		return fidelity.MovementTrace{}, pipeline.RouterStats{}, true
 	}
 	if opts.Mode == Solver {
 		// Consume the remaining budget like an anytime SMT optimiser: keep
@@ -134,12 +126,12 @@ func schedule(routed *circuit.Circuit, sizes []int, opts Options,
 			if to {
 				break
 			}
-			if cand.depth < best.depth {
+			if cand.stats.Stages < best.stats.Stages {
 				best = cand
 			}
 		}
 	}
-	return best.depth, best.trace, best.stats, false
+	return best.trace, best.stats, false
 }
 
 // simulator executes one scheduling pass over the frontier.
@@ -154,7 +146,7 @@ type simulator struct {
 	rng      *rand.Rand
 
 	trace fidelity.MovementTrace
-	stats schedStats
+	stats pipeline.RouterStats
 	nvib  []float64
 	// AOD row/column positions in grid units (parked half a pitch off).
 	rowPos []float64
@@ -163,7 +155,7 @@ type simulator struct {
 
 func (s *simulator) isAOD(slot int) bool { return slot >= s.sizes[0] }
 
-func (s *simulator) run() (int, fidelity.MovementTrace, schedStats, bool) {
+func (s *simulator) run() (fidelity.MovementTrace, pipeline.RouterStats, bool) {
 	n := s.sizes[0] + s.sizes[1]
 	s.nvib = make([]float64, n)
 	size := 0
@@ -180,28 +172,11 @@ func (s *simulator) run() (int, fidelity.MovementTrace, schedStats, bool) {
 	}
 
 	front := circuit.NewFrontier(circuit.NewDAG(s.routed))
-	depth := 0
 	for !front.Done() {
 		if time.Now().After(s.deadline) {
-			return 0, fidelity.MovementTrace{}, schedStats{}, true
+			return fidelity.MovementTrace{}, pipeline.RouterStats{}, true
 		}
-		// Drain one-qubit layers.
-		for {
-			var batch []int
-			for _, gi := range front.Front() {
-				if !front.Gate(gi).IsTwoQubit() {
-					batch = append(batch, gi)
-				}
-			}
-			if len(batch) == 0 {
-				break
-			}
-			for _, gi := range batch {
-				front.Execute(gi)
-			}
-			s.stats.oneQLayers++
-			s.stats.execTime += s.params.Time1Q
-		}
+		s.stats.AddOneQLayers(front.DrainOneQubit(nil), s.params.Time1Q)
 		if front.Done() {
 			break
 		}
@@ -224,9 +199,8 @@ func (s *simulator) run() (int, fidelity.MovementTrace, schedStats, bool) {
 			panic("solverref: no schedulable gate (intra-array pair?)")
 		}
 		s.executeStage(stage, front)
-		depth++
 	}
-	return depth, s.trace, s.stats, false
+	return s.trace, s.stats, false
 }
 
 // gateBinding returns the AOD slot and its (targetRow, targetCol) for a
@@ -386,7 +360,7 @@ func (s *simulator) executeStage(stage []int, front *circuit.Frontier) {
 		if d > 0 {
 			s.nvib[slot] += move.DeltaNvib(d, s.params.TimePerMove, s.params)
 			s.trace.MoveNvib = append(s.trace.MoveNvib, s.nvib[slot])
-			s.stats.totalDist += d
+			s.stats.TotalDist += d
 		}
 	}
 	for _, gi := range stage {
@@ -397,7 +371,8 @@ func (s *simulator) executeStage(stage []int, front *circuit.Frontier) {
 	}
 	s.trace.StageQubits = append(s.trace.StageQubits, s.sizes[0]+s.sizes[1])
 	s.trace.StageMoveTime = append(s.trace.StageMoveTime, s.params.TimePerMove)
-	s.stats.execTime += s.params.TimePerMove + s.params.Time2Q
+	s.stats.ExecTime += s.params.TimePerMove + s.params.Time2Q
+	s.stats.Stages++
 
 	hot := false
 	for slot := s.sizes[0]; slot < s.sizes[0]+s.sizes[1]; slot++ {
@@ -411,7 +386,7 @@ func (s *simulator) executeStage(stage []int, front *circuit.Frontier) {
 		for slot := s.sizes[0]; slot < s.sizes[0]+s.sizes[1]; slot++ {
 			s.nvib[slot] = 0
 		}
-		s.stats.coolings++
-		s.stats.execTime += 2 * s.params.Time2Q
+		s.stats.Coolings++
+		s.stats.ExecTime += 2 * s.params.Time2Q
 	}
 }

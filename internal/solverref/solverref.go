@@ -96,7 +96,7 @@ func Compile(circ *circuit.Circuit, opts Options) (Result, error) {
 		if timedOut {
 			return Result{Metrics: metrics.Compiled{
 				Arch:        opts.Mode.String(),
-				NQubits:     circ.N,
+				Counts:      fidelity.Counts{NQubits: circ.N},
 				CompileTime: time.Since(start),
 			}, TimedOut: true}, nil
 		}
@@ -117,43 +117,32 @@ func Compile(circ *circuit.Circuit, opts Options) (Result, error) {
 	routed, swaps := ins.Routed, ins.SwapCount
 
 	// Step 3: placement + scheduling on the single-AOD machine.
-	sched, trace, stats, schedTimedOut := schedule(routed, sizes, opts, deadline)
+	trace, stats, schedTimedOut := schedule(routed, sizes, opts, deadline)
 	if schedTimedOut {
 		return Result{Metrics: metrics.Compiled{
 			Arch:        opts.Mode.String(),
-			NQubits:     circ.N,
+			Counts:      fidelity.Counts{NQubits: circ.N},
 			CompileTime: time.Since(start),
 		}, TimedOut: true}, nil
 	}
 
-	params := hardware.NeutralAtom()
-	static := fidelity.Static{
-		NQubits:   circ.N,
-		N1Q:       routed.Num1Q(),
-		N1QLayers: stats.oneQLayers,
-		N2Q:       routed.Num2Q(),
-		Depth2Q:   sched,
-	}
-	bd := fidelity.Evaluate(params, static, trace)
 	m := metrics.Compiled{
-		Arch:          opts.Mode.String(),
-		NQubits:       circ.N,
-		N2Q:           routed.Num2Q(),
-		N1Q:           routed.Num1Q(),
-		Depth2Q:       sched,
-		N1QLayers:     stats.oneQLayers,
+		Arch: opts.Mode.String(),
+		Counts: fidelity.Counts{
+			NQubits:   circ.N,
+			N2Q:       routed.Num2Q(),
+			N1Q:       routed.Num1Q(),
+			Depth2Q:   stats.Stages,
+			N1QLayers: stats.OneQLayers,
+		},
 		SwapCount:     swaps,
-		AddedCNOTs:    3 * swaps,
-		ExecutionTime: stats.execTime,
-		MoveStages:    sched,
-		TotalMoveDist: stats.totalDist,
-		CoolingEvents: stats.coolings,
-		CompileTime:   time.Since(start),
-		Fidelity:      bd,
+		ExecutionTime: stats.ExecTime,
+		MoveStages:    stats.Stages,
+		TotalMoveDist: stats.TotalDist,
+		CoolingEvents: stats.Coolings,
 	}
-	if sched > 0 {
-		m.AvgMoveDist = stats.totalDist / float64(sched)
-	}
+	m.Evaluate(hardware.NeutralAtom(), trace)
+	m.CompileTime = time.Since(start)
 	return Result{Metrics: m, Routed: routed, FinalSlotOf: ins.FinalMapping}, nil
 }
 

@@ -96,7 +96,6 @@ func (pass roundSchedulePass) Run(ctx context.Context, st *pipeline.State) error
 	sched := &pipeline.Schedule{}
 	var trace fidelity.MovementTrace
 	var stats pipeline.RouterStats
-	transfers := 0
 
 	// shuttle is one atom's round trip to a gate site.
 	type shuttle struct {
@@ -111,24 +110,9 @@ func (pass roundSchedulePass) Run(ctx context.Context, st *pipeline.State) error
 
 		// Drain every currently executable one-qubit layer.
 		var oneQ []pipeline.GateExec
-		for {
-			var batch []int
-			for _, gi := range front.Front() {
-				if !front.Gate(gi).IsTwoQubit() {
-					batch = append(batch, gi)
-				}
-			}
-			if len(batch) == 0 {
-				break
-			}
-			for _, gi := range batch {
-				g := front.Gate(gi)
-				oneQ = append(oneQ, pipeline.GateExec{Op: g.Op, SlotA: g.Q0, SlotB: -1, Param: g.Param})
-				front.Execute(gi)
-			}
-			stats.OneQLayers++
-			stats.ExecTime += p.Time1Q
-		}
+		stats.AddOneQLayers(front.DrainOneQubit(func(g circuit.Gate) {
+			oneQ = append(oneQ, pipeline.GateExec{Op: g.Op, SlotA: g.Q0, SlotB: -1, Param: g.Param})
+		}), p.Time1Q)
 		if front.Done() {
 			if len(oneQ) > 0 {
 				sched.Stages = append(sched.Stages, pipeline.Stage{OneQ: oneQ})
@@ -170,7 +154,7 @@ func (pass roundSchedulePass) Run(ctx context.Context, st *pipeline.State) error
 			nvib[mv.q] += move.DeltaNvib(mv.d, mv.t, p)
 			trace.MoveNvib = append(trace.MoveNvib, nvib[mv.q])
 			stats.TotalDist += mv.d
-			transfers++
+			trace.Transfers++
 		}
 		// The Rydberg pulse fires with both atoms of a pair held in moving
 		// tweezers, so the effective n_vib per gate is the pair sum (the
@@ -185,7 +169,7 @@ func (pass roundSchedulePass) Run(ctx context.Context, st *pipeline.State) error
 			nvib[mv.q] += move.DeltaNvib(mv.d, mv.t, p)
 			trace.MoveNvib = append(trace.MoveNvib, nvib[mv.q])
 			stats.TotalDist += mv.d
-			transfers++
+			trace.Transfers++
 		}
 
 		trace.StageQubits = append(trace.StageQubits, n)
@@ -227,7 +211,7 @@ func (pass roundSchedulePass) Run(ctx context.Context, st *pipeline.State) error
 			nvib[q] += move.DeltaNvib(d, t, p)
 			trace.MoveNvib = append(trace.MoveNvib, nvib[q])
 			stats.TotalDist += d
-			transfers += 2 // storage pickup + readout-zone dropoff
+			trace.Transfers += 2 // storage pickup + readout-zone dropoff
 			if t > maxT {
 				maxT = t
 			}
@@ -240,7 +224,6 @@ func (pass roundSchedulePass) Run(ctx context.Context, st *pipeline.State) error
 	st.Schedule = sched
 	st.Trace = trace
 	st.Router = stats
-	st.Static.Transfers = transfers
 	return nil
 }
 
@@ -253,35 +236,24 @@ type zoneFidelityPass struct{ p hardware.Params }
 func (zoneFidelityPass) Name() string { return "fidelity" }
 
 func (pass zoneFidelityPass) Run(_ context.Context, st *pipeline.State) error {
-	st.Static = fidelity.Static{
-		NQubits:   st.Circ.N,
-		N1Q:       st.Circ.Num1Q(),
-		N1QLayers: st.Router.OneQLayers,
-		N2Q:       st.Circ.Num2Q(),
-		Depth2Q:   st.Router.Stages,
-		Transfers: st.Static.Transfers,
-	}
-	bd := fidelity.Evaluate(pass.p, st.Static, st.Trace)
 	moveStages := st.Router.Stages
 	if st.Circ.N > 0 {
 		moveStages++ // the readout shuttle
 	}
-	m := metrics.Compiled{
-		Arch:          ArchLabel,
-		NQubits:       st.Circ.N,
-		N2Q:           st.Circ.Num2Q(),
-		N1Q:           st.Circ.Num1Q(),
-		Depth2Q:       st.Router.Stages,
-		N1QLayers:     st.Router.OneQLayers,
+	st.Metrics = metrics.Compiled{
+		Arch: ArchLabel,
+		Counts: fidelity.Counts{
+			NQubits:   st.Circ.N,
+			N2Q:       st.Circ.Num2Q(),
+			N1Q:       st.Circ.Num1Q(),
+			Depth2Q:   st.Router.Stages,
+			N1QLayers: st.Router.OneQLayers,
+		},
 		ExecutionTime: st.Router.ExecTime,
 		MoveStages:    moveStages,
 		TotalMoveDist: st.Router.TotalDist,
 		CoolingEvents: st.Router.Coolings,
-		Fidelity:      bd,
 	}
-	if moveStages > 0 {
-		m.AvgMoveDist = st.Router.TotalDist / float64(moveStages)
-	}
-	st.Metrics = m
+	st.Metrics.Evaluate(pass.p, st.Trace)
 	return nil
 }

@@ -71,8 +71,6 @@ type Result struct {
 	Metrics metrics.Compiled
 	// Trace is the movement trace consumed by the fidelity model.
 	Trace fidelity.MovementTrace
-	// Static is the gate-count summary consumed by the fidelity model.
-	Static fidelity.Static
 }
 
 // ArchLabel is the metrics architecture label of the zoned compiler.
@@ -112,6 +110,5 @@ func CompileContext(ctx context.Context, geo hardware.ZoneGeometry, p hardware.P
 		Schedule:    st.Schedule,
 		Metrics:     m,
 		Trace:       st.Trace,
-		Static:      st.Static,
 	}, nil
 }

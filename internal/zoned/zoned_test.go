@@ -124,9 +124,9 @@ func TestZonedAccounting(t *testing.T) {
 	if m.SwapCount != 0 || m.AddedCNOTs != 0 {
 		t.Errorf("zoned scheduling inserted SWAPs: %d (+%d CNOT)", m.SwapCount, m.AddedCNOTs)
 	}
-	if want := 4*c.Num2Q() + 2*c.N; res.Static.Transfers != want {
+	if want := 4*c.Num2Q() + 2*c.N; res.Trace.Transfers != want {
 		t.Errorf("transfers = %d, want 4 per 2Q gate + 2 per qubit = %d",
-			res.Static.Transfers, want)
+			res.Trace.Transfers, want)
 	}
 	if m.MoveStages != m.Depth2Q+1 {
 		t.Errorf("move stages = %d, want rounds + readout = %d", m.MoveStages, m.Depth2Q+1)
