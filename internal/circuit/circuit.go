@@ -24,7 +24,7 @@ const (
 	OpRX
 	OpRY
 	OpRZ
-	OpU // arbitrary 1Q unitary
+	_ // a retired op; its number stays taken so circuit fingerprints keep theirs
 	OpCX
 	OpCZ
 	OpZZ
@@ -34,7 +34,7 @@ const (
 
 var opNames = [...]string{
 	OpH: "h", OpX: "x", OpY: "y", OpZ: "z", OpS: "s", OpT: "t",
-	OpRX: "rx", OpRY: "ry", OpRZ: "rz", OpU: "u",
+	OpRX: "rx", OpRY: "ry", OpRZ: "rz",
 	OpCX: "cx", OpCZ: "cz", OpZZ: "zz", OpSWAP: "swap",
 }
 

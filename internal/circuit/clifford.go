@@ -25,13 +25,13 @@ func CliffordQuarterTurns(theta float64) (k int, ok bool) {
 }
 
 // IsCliffordGate reports whether g is a Clifford operation: H, S, the Paulis,
-// CX/CZ/SWAP natively, and the parametric rotations (RX/RY/RZ/U/ZZ) exactly
+// CX/CZ/SWAP natively, and the parametric rotations (RX/RY/RZ/ZZ) exactly
 // when their angle is a multiple of π/2. T is never Clifford.
 func IsCliffordGate(g Gate) bool {
 	switch g.Op {
 	case OpH, OpX, OpY, OpZ, OpS, OpCX, OpCZ, OpSWAP:
 		return true
-	case OpRX, OpRY, OpRZ, OpU, OpZZ:
+	case OpRX, OpRY, OpRZ, OpZZ:
 		_, ok := CliffordQuarterTurns(g.Param)
 		return ok
 	default: // OpT and anything unknown

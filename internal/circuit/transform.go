@@ -29,7 +29,7 @@ func invertGate(g Gate) Gate {
 	switch g.Op {
 	case OpH, OpX, OpY, OpZ, OpCX, OpCZ, OpSWAP:
 		return g // self-inverse
-	case OpRX, OpRY, OpRZ, OpZZ, OpU:
+	case OpRX, OpRY, OpRZ, OpZZ:
 		g.Param = -g.Param
 		return g
 	case OpS:

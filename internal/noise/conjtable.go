@@ -215,7 +215,7 @@ func conjBitsThrough(g circuit.Gate, p [4]uint64) [4]uint64 {
 		if cliffordQuarterOdd(g) {
 			x0 ^= z0
 		}
-	case circuit.OpRY, circuit.OpU:
+	case circuit.OpRY:
 		if cliffordQuarterOdd(g) {
 			x0, z0 = z0, x0
 		}

@@ -36,12 +36,12 @@ func cliffordWitness(seed int64, n, gates int) Witness {
 }
 
 // allOpsWitness returns a seeded random witness drawing uniformly from all
-// thirteen Clifford ops, every rotation at ±π/2 or π.
+// twelve Clifford ops, every rotation at ±π/2 or π.
 func allOpsWitness(seed int64, n, gates int) Witness {
 	rng := rand.New(rand.NewSource(seed))
 	angles := []float64{math.Pi / 2, -math.Pi / 2, math.Pi}
 	oneQ := []circuit.Op{circuit.OpH, circuit.OpX, circuit.OpY, circuit.OpZ, circuit.OpS,
-		circuit.OpRX, circuit.OpRY, circuit.OpRZ, circuit.OpU}
+		circuit.OpRX, circuit.OpRY, circuit.OpRZ}
 	twoQ := []circuit.Op{circuit.OpCX, circuit.OpCZ, circuit.OpZZ, circuit.OpSWAP}
 	c := circuit.New(n)
 	for i := 0; i < gates; i++ {

@@ -93,11 +93,7 @@ func FuzzParse(f *testing.F) {
 				len(c.Gates), len(c2.Gates), c.N, c2.N)
 		}
 		for i := range c.Gates {
-			wantOp := c.Gates[i].Op
-			if wantOp == circuit.OpU {
-				wantOp = circuit.OpRY // Write canonicalises u/u3 to ry
-			}
-			if wantOp != c2.Gates[i].Op || c.Gates[i].Q0 != c2.Gates[i].Q0 ||
+			if c.Gates[i].Op != c2.Gates[i].Op || c.Gates[i].Q0 != c2.Gates[i].Q0 ||
 				c.Gates[i].Q1 != c2.Gates[i].Q1 {
 				t.Fatalf("round trip changed gate %d: %v -> %v", i, c.Gates[i], c2.Gates[i])
 			}

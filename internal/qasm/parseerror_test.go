@@ -27,3 +27,18 @@ func TestParseErrorStructure(t *testing.T) {
 		t.Errorf("program-level error line = %d, want 0", pe.Line)
 	}
 }
+
+// TestAngleCount: a gate given the wrong number of angles is a *ParseError
+// on its line, not a gate that silently drops or invents one.
+func TestAngleCount(t *testing.T) {
+	for _, stmt := range []string{
+		"rx(pi,1) q[0];", "rx q[0];", "rzz q[0],q[1];", "h(0.5) q[0];",
+		"sdg(pi) q[0];", "u3(0.1,0.2) q[0];", "u(1,2,3,4) q[0];",
+	} {
+		_, err := ParseString("qreg q[2];\n" + stmt)
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line != 2 {
+			t.Errorf("%s: err = %v, want a *ParseError on line 2", stmt, err)
+		}
+	}
+}

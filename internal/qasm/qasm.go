@@ -1,9 +1,10 @@
 // Package qasm serialises circuits to and from OpenQASM 2.0, the interchange
 // format of the paper's benchmark suites (QASMBench, SupermarQ). The dialect
 // covers the IR's gate set: h, x, y, z, s, t, sdg and tdg (as rz(-pi/2) and
-// rz(-pi/4)), rx, ry, rz, u (as ry), cx, cz, rzz, swap, plus qreg/creg
-// declarations, comments, and measure statements (parsed and ignored — the
-// compilers schedule unitaries).
+// rz(-pi/4)), rx, ry, rz, u1 and p (as rz), u and u3 (as rz·ry·rz, exact up
+// to global phase), cx, cz, rzz, swap, plus qreg/creg declarations, comments,
+// and measure statements (parsed and ignored — the compilers schedule
+// unitaries).
 package qasm
 
 import (
@@ -76,8 +77,6 @@ func writeGate(w io.Writer, g circuit.Gate) error {
 		_, err = fmt.Fprintf(w, "%s q[%d];\n", g.Op, g.Q0)
 	case circuit.OpRX, circuit.OpRY, circuit.OpRZ:
 		_, err = fmt.Fprintf(w, "%s(%.17g) q[%d];\n", g.Op, g.Param, g.Q0)
-	case circuit.OpU:
-		_, err = fmt.Fprintf(w, "ry(%.17g) q[%d];\n", g.Param, g.Q0)
 	case circuit.OpCX:
 		_, err = fmt.Fprintf(w, "cx q[%d],q[%d];\n", g.Q0, g.Q1)
 	case circuit.OpCZ:
@@ -170,9 +169,13 @@ func parseStatement(c **circuit.Circuit, stmt string) error {
 	if *c == nil {
 		return fmt.Errorf("gate before qreg declaration")
 	}
-	op, param, args, err := parseGate(stmt)
+	op, angles, args, err := parseGate(stmt)
 	if err != nil {
 		return err
+	}
+	param := 0.0
+	if len(angles) > 0 {
+		param = angles[0]
 	}
 	want := 1
 	if op.IsTwoQubit() {
@@ -186,12 +189,18 @@ func parseStatement(c **circuit.Circuit, stmt string) error {
 			return fmt.Errorf("gate %q operand q[%d] out of range", head, a)
 		}
 	}
-	if op.IsTwoQubit() {
+	switch {
+	case op.IsTwoQubit():
 		if args[0] == args[1] {
 			return fmt.Errorf("gate %q on identical qubits", head)
 		}
 		(*c).Add2Q(op, args[0], args[1], param)
-	} else {
+	case len(angles) == 3:
+		// u and u3: U3(θ, φ, λ) = RZ(φ)·RY(θ)·RZ(λ) up to global phase.
+		(*c).RZ(args[0], angles[2])
+		(*c).RY(args[0], param)
+		(*c).RZ(args[0], angles[1])
+	default:
 		(*c).Add1Q(op, args[0], param)
 	}
 	return nil
@@ -215,9 +224,16 @@ var opByName = map[string]circuit.Op{
 	"h": circuit.OpH, "x": circuit.OpX, "y": circuit.OpY, "z": circuit.OpZ,
 	"s": circuit.OpS, "t": circuit.OpT, "sdg": circuit.OpRZ, "tdg": circuit.OpRZ,
 	"rx": circuit.OpRX, "ry": circuit.OpRY, "rz": circuit.OpRZ,
-	"u1": circuit.OpRZ, "p": circuit.OpRZ, "u": circuit.OpU, "u3": circuit.OpU,
+	"u1": circuit.OpRZ, "p": circuit.OpRZ,
+	"u": circuit.OpRY, "u3": circuit.OpRY, // between two rz; see parseStatement
 	"cx": circuit.OpCX, "cnot": circuit.OpCX, "cz": circuit.OpCZ,
 	"rzz": circuit.OpZZ, "zz": circuit.OpZZ, "swap": circuit.OpSWAP,
+}
+
+// angleCount is the length of each gate's parameter list; gates it does not
+// name take none. u and u3 take (θ, φ, λ).
+var angleCount = map[string]int{
+	"rx": 1, "ry": 1, "rz": 1, "u1": 1, "p": 1, "rzz": 1, "zz": 1, "u": 3, "u3": 3,
 }
 
 // fixedAngle holds the angle of gates opByName maps to a rotation at a fixed
@@ -225,21 +241,23 @@ var opByName = map[string]circuit.Op{
 // up to global phase.
 var fixedAngle = map[string]float64{"sdg": -math.Pi / 2, "tdg": -math.Pi / 4}
 
-func parseGate(stmt string) (circuit.Op, float64, []int, error) {
+func parseGate(stmt string) (circuit.Op, []float64, []int, error) {
 	name := stmt
 	rest := ""
-	param := 0.0
+	var angles []float64
 	if i := strings.Index(stmt, "("); i >= 0 {
 		name = strings.TrimSpace(stmt[:i])
 		j := strings.Index(stmt, ")")
 		if j < i {
-			return 0, 0, nil, fmt.Errorf("unbalanced parens in %q", stmt)
+			return 0, nil, nil, fmt.Errorf("unbalanced parens in %q", stmt)
 		}
-		p, err := parseAngle(stmt[i+1 : j])
-		if err != nil {
-			return 0, 0, nil, err
+		for _, expr := range strings.Split(stmt[i+1:j], ",") {
+			a, err := parseAngle(expr)
+			if err != nil {
+				return 0, nil, nil, err
+			}
+			angles = append(angles, a)
 		}
-		param = p
 		rest = stmt[j+1:]
 	} else if i := strings.IndexAny(stmt, " \t"); i >= 0 {
 		name = stmt[:i]
@@ -248,10 +266,13 @@ func parseGate(stmt string) (circuit.Op, float64, []int, error) {
 	key := strings.ToLower(name)
 	op, ok := opByName[key]
 	if !ok {
-		return 0, 0, nil, fmt.Errorf("unsupported gate %q", name)
+		return 0, nil, nil, fmt.Errorf("unsupported gate %q", name)
+	}
+	if want := angleCount[key]; len(angles) != want {
+		return 0, nil, nil, fmt.Errorf("gate %q takes %d angle(s), got %d", name, want, len(angles))
 	}
 	if a, ok := fixedAngle[key]; ok {
-		param = a
+		angles = []float64{a}
 	}
 	var args []int
 	for _, operand := range strings.Split(rest, ",") {
@@ -261,20 +282,16 @@ func parseGate(stmt string) (circuit.Op, float64, []int, error) {
 		}
 		idx, _, err := parseIndex(operand)
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, nil, nil, err
 		}
 		args = append(args, idx)
 	}
-	return op, param, args, nil
+	return op, angles, args, nil
 }
 
 // parseAngle evaluates the restricted angle expressions QASM files use:
 // decimal literals, pi, and products/quotients like pi/2, 3*pi/4, -pi/16.
-// For u/u3 gates with multiple parameters, the first is used.
 func parseAngle(expr string) (float64, error) {
-	if i := strings.Index(expr, ","); i >= 0 {
-		expr = expr[:i]
-	}
 	expr = strings.TrimSpace(expr)
 	neg := false
 	if strings.HasPrefix(expr, "-") {

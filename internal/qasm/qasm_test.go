@@ -214,3 +214,26 @@ func TestInverseGates(t *testing.T) {
 		}
 	}
 }
+
+// TestU3Exact pins u and u3 to U3(θ, φ, λ) up to global phase: each program
+// below is the identity (u3(pi/2,0,pi) is H, and U3(θ, φ, λ)† is
+// U3(-θ, -λ, -φ)), so the dense simulator must leave |0⟩ with probability 1.
+func TestU3Exact(t *testing.T) {
+	for _, body := range []string{
+		"h q[0]; u3(pi/2,0,pi) q[0];",
+		"u(pi/2, 0, pi) q[0]; h q[0];",
+		"h q[0]; u3(1.2,0.5,2.1) q[0]; u3(-1.2,-2.1,-0.5) q[0]; h q[0];",
+		"rx(0.7) q[0]; u(pi/3,-pi/4,0.9) q[0]; u(-pi/3,-0.9,pi/4) q[0]; rx(-0.7) q[0];",
+	} {
+		c, err := ParseString("OPENQASM 2.0;\nqreg q[1];\n" + body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := sim.MustNew(1)
+		st.Run(c)
+		a := st.Amp[0]
+		if p := real(a)*real(a) + imag(a)*imag(a); math.Abs(p-1) > 1e-12 {
+			t.Errorf("%s: P(|0⟩) = %v, want 1", body, p)
+		}
+	}
+}

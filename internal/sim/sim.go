@@ -113,10 +113,6 @@ func gate1Q(op circuit.Op, theta float64) [4]complex128 {
 		return [4]complex128{c, -sn, sn, c}
 	case circuit.OpRZ:
 		return [4]complex128{cmplx.Exp(complex(0, -theta/2)), 0, 0, cmplx.Exp(complex(0, theta/2))}
-	case circuit.OpU:
-		// Modelled as RY(theta) — a representative generic rotation.
-		c, sn := complex(math.Cos(theta/2), 0), complex(math.Sin(theta/2), 0)
-		return [4]complex128{c, -sn, sn, c}
 	default:
 		panic(fmt.Sprintf("sim: not a one-qubit op: %v", op))
 	}

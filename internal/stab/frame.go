@@ -64,7 +64,7 @@ func (f *Frame) Conjugate(g circuit.Gate) {
 		if quarterOdd(g) {
 			f.xorX(g.Q0, f.zBit(g.Q0))
 		}
-	case circuit.OpRY, circuit.OpU:
+	case circuit.OpRY:
 		if quarterOdd(g) {
 			f.swapXZ(g.Q0)
 		}

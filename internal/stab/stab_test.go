@@ -381,7 +381,7 @@ func TestNonClifford(t *testing.T) {
 		{Op: circuit.OpRZ, Q0: 0, Q1: -1, Param: 0.3},
 		{Op: circuit.OpRX, Q0: 1, Q1: -1, Param: math.Pi / 3},
 		{Op: circuit.OpZZ, Q0: 0, Q1: 1, Param: 1.1},
-		{Op: circuit.OpU, Q0: 0, Q1: -1, Param: 2.2},
+		{Op: circuit.OpRY, Q0: 0, Q1: -1, Param: 2.2},
 	}
 	for _, g := range bad {
 		err := tb.ApplyGate(g)

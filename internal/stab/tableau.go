@@ -193,7 +193,7 @@ func (t *Tableau) ApplyGate(g circuit.Gate) error {
 		case 2:
 			t.xGate(g.Q0)
 		}
-	case circuit.OpRY, circuit.OpU: // the dense sim models U as RY(θ)
+	case circuit.OpRY:
 		k, ok := circuit.CliffordQuarterTurns(g.Param)
 		if !ok {
 			return &NonCliffordError{Gate: g, Index: -1}
