@@ -169,39 +169,36 @@ func parseStatement(c **circuit.Circuit, stmt string) error {
 	if *c == nil {
 		return fmt.Errorf("gate before qreg declaration")
 	}
-	op, angles, args, err := parseGate(stmt)
+	g, err := parseGate(stmt)
 	if err != nil {
 		return err
 	}
-	param := 0.0
-	if len(angles) > 0 {
-		param = angles[0]
-	}
 	want := 1
-	if op.IsTwoQubit() {
+	if g.op.IsTwoQubit() {
 		want = 2
 	}
-	if len(args) != want {
-		return fmt.Errorf("gate %q needs %d operands, got %d", head, want, len(args))
+	if len(g.args) != want {
+		return fmt.Errorf("gate %q needs %d operands, got %d", head, want, len(g.args))
 	}
-	for _, a := range args {
+	for _, a := range g.args {
 		if a < 0 || a >= (*c).N {
 			return fmt.Errorf("gate %q operand q[%d] out of range", head, a)
 		}
 	}
+	q, param := g.args[0], g.angles[0]
 	switch {
-	case op.IsTwoQubit():
-		if args[0] == args[1] {
+	case g.op.IsTwoQubit():
+		if q == g.args[1] {
 			return fmt.Errorf("gate %q on identical qubits", head)
 		}
-		(*c).Add2Q(op, args[0], args[1], param)
-	case len(angles) == 3:
+		(*c).Add2Q(g.op, q, g.args[1], param)
+	case g.n == 3:
 		// u and u3: U3(θ, φ, λ) = RZ(φ)·RY(θ)·RZ(λ) up to global phase.
-		(*c).RZ(args[0], angles[2])
-		(*c).RY(args[0], param)
-		(*c).RZ(args[0], angles[1])
+		(*c).RZ(q, g.angles[2])
+		(*c).RY(q, param)
+		(*c).RZ(q, g.angles[1])
 	default:
-		(*c).Add1Q(op, args[0], param)
+		(*c).Add1Q(g.op, q, param)
 	}
 	return nil
 }
@@ -241,22 +238,36 @@ var angleCount = map[string]int{
 // up to global phase.
 var fixedAngle = map[string]float64{"sdg": -math.Pi / 2, "tdg": -math.Pi / 4}
 
-func parseGate(stmt string) (circuit.Op, []float64, []int, error) {
+// gate is one parsed gate statement: the op, the operands, and the angles,
+// of which the first n were given (u and u3 take the most).
+type gate struct {
+	op     circuit.Op
+	args   []int
+	angles [3]float64
+	n      int
+}
+
+func parseGate(stmt string) (gate, error) {
+	var g gate
 	name := stmt
 	rest := ""
-	var angles []float64
 	if i := strings.Index(stmt, "("); i >= 0 {
 		name = strings.TrimSpace(stmt[:i])
 		j := strings.Index(stmt, ")")
 		if j < i {
-			return 0, nil, nil, fmt.Errorf("unbalanced parens in %q", stmt)
+			return gate{}, fmt.Errorf("unbalanced parens in %q", stmt)
 		}
-		for _, expr := range strings.Split(stmt[i+1:j], ",") {
+		for list, more := stmt[i+1:j], true; more; g.n++ {
+			var expr string
+			expr, list, more = strings.Cut(list, ",")
+			if g.n == len(g.angles) {
+				return gate{}, fmt.Errorf("too many angles in %q", stmt)
+			}
 			a, err := parseAngle(expr)
 			if err != nil {
-				return 0, nil, nil, err
+				return gate{}, err
 			}
-			angles = append(angles, a)
+			g.angles[g.n] = a
 		}
 		rest = stmt[j+1:]
 	} else if i := strings.IndexAny(stmt, " \t"); i >= 0 {
@@ -266,15 +277,15 @@ func parseGate(stmt string) (circuit.Op, []float64, []int, error) {
 	key := strings.ToLower(name)
 	op, ok := opByName[key]
 	if !ok {
-		return 0, nil, nil, fmt.Errorf("unsupported gate %q", name)
+		return gate{}, fmt.Errorf("unsupported gate %q", name)
 	}
-	if want := angleCount[key]; len(angles) != want {
-		return 0, nil, nil, fmt.Errorf("gate %q takes %d angle(s), got %d", name, want, len(angles))
+	if want := angleCount[key]; g.n != want {
+		return gate{}, fmt.Errorf("gate %q takes %d angle(s), got %d", name, want, g.n)
 	}
 	if a, ok := fixedAngle[key]; ok {
-		angles = []float64{a}
+		g.angles[0] = a
 	}
-	var args []int
+	g.op = op
 	for _, operand := range strings.Split(rest, ",") {
 		operand = strings.TrimSpace(operand)
 		if operand == "" {
@@ -282,11 +293,11 @@ func parseGate(stmt string) (circuit.Op, []float64, []int, error) {
 		}
 		idx, _, err := parseIndex(operand)
 		if err != nil {
-			return 0, nil, nil, err
+			return gate{}, err
 		}
-		args = append(args, idx)
+		g.args = append(g.args, idx)
 	}
-	return op, angles, args, nil
+	return g, nil
 }
 
 // parseAngle evaluates the restricted angle expressions QASM files use:
