@@ -86,19 +86,22 @@ func Compile(circ *circuit.Circuit, opts Options) (Result, error) {
 	}
 	start := time.Now()
 	deadline := start.Add(opts.Budget)
+	// A timed-out compile reports only the circuit width and the time spent.
+	timeout := func() (Result, error) {
+		return Result{Metrics: metrics.Compiled{
+			Arch:        opts.Mode.String(),
+			Counts:      fidelity.Counts{NQubits: circ.N},
+			CompileTime: time.Since(start),
+		}, TimedOut: true}, nil
+	}
 
 	// Step 1: qubit-array partition (SLM vs AOD).
 	gf := graphs.GateFrequency(circ, 1.0)
 	var part []int
-	timedOut := false
 	if opts.Mode == Solver {
-		part, timedOut = exactMaxCut(gf, deadline)
-		if timedOut {
-			return Result{Metrics: metrics.Compiled{
-				Arch:        opts.Mode.String(),
-				Counts:      fidelity.Counts{NQubits: circ.N},
-				CompileTime: time.Since(start),
-			}, TimedOut: true}, nil
+		var timedOut bool
+		if part, timedOut = exactMaxCut(gf, deadline); timedOut {
+			return timeout()
 		}
 	} else {
 		part = graphs.MaxKCutGreedy(gf, 2, nil)
@@ -117,13 +120,9 @@ func Compile(circ *circuit.Circuit, opts Options) (Result, error) {
 	routed, swaps := ins.Routed, ins.SwapCount
 
 	// Step 3: placement + scheduling on the single-AOD machine.
-	trace, stats, schedTimedOut := schedule(routed, sizes, opts, deadline)
-	if schedTimedOut {
-		return Result{Metrics: metrics.Compiled{
-			Arch:        opts.Mode.String(),
-			Counts:      fidelity.Counts{NQubits: circ.N},
-			CompileTime: time.Since(start),
-		}, TimedOut: true}, nil
+	trace, stats, timedOut := schedule(routed, sizes, opts, deadline)
+	if timedOut {
+		return timeout()
 	}
 
 	m := metrics.Compiled{
