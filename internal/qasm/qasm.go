@@ -169,38 +169,7 @@ func parseStatement(c **circuit.Circuit, stmt string) error {
 	if *c == nil {
 		return fmt.Errorf("gate before qreg declaration")
 	}
-	g, err := parseGate(stmt)
-	if err != nil {
-		return err
-	}
-	want := 1
-	if g.op.IsTwoQubit() {
-		want = 2
-	}
-	if len(g.args) != want {
-		return fmt.Errorf("gate %q needs %d operands, got %d", head, want, len(g.args))
-	}
-	for _, a := range g.args {
-		if a < 0 || a >= (*c).N {
-			return fmt.Errorf("gate %q operand q[%d] out of range", head, a)
-		}
-	}
-	q, param := g.args[0], g.angles[0]
-	switch {
-	case g.op.IsTwoQubit():
-		if q == g.args[1] {
-			return fmt.Errorf("gate %q on identical qubits", head)
-		}
-		(*c).Add2Q(g.op, q, g.args[1], param)
-	case g.n == 3:
-		// u and u3: U3(θ, φ, λ) = RZ(φ)·RY(θ)·RZ(λ) up to global phase.
-		(*c).RZ(q, g.angles[2])
-		(*c).RY(q, param)
-		(*c).RZ(q, g.angles[1])
-	default:
-		(*c).Add1Q(g.op, q, param)
-	}
-	return nil
+	return addGate(*c, stmt)
 }
 
 // parseIndex extracts the first bracketed integer: qreg q[12] -> 12.
@@ -222,7 +191,7 @@ var opByName = map[string]circuit.Op{
 	"s": circuit.OpS, "t": circuit.OpT, "sdg": circuit.OpRZ, "tdg": circuit.OpRZ,
 	"rx": circuit.OpRX, "ry": circuit.OpRY, "rz": circuit.OpRZ,
 	"u1": circuit.OpRZ, "p": circuit.OpRZ,
-	"u": circuit.OpRY, "u3": circuit.OpRY, // between two rz; see parseStatement
+	"u": circuit.OpRY, "u3": circuit.OpRY, // between two rz; see addGate
 	"cx": circuit.OpCX, "cnot": circuit.OpCX, "cz": circuit.OpCZ,
 	"rzz": circuit.OpZZ, "zz": circuit.OpZZ, "swap": circuit.OpSWAP,
 }
@@ -238,36 +207,29 @@ var angleCount = map[string]int{
 // up to global phase.
 var fixedAngle = map[string]float64{"sdg": -math.Pi / 2, "tdg": -math.Pi / 4}
 
-// gate is one parsed gate statement: the op, the operands, and the angles,
-// of which the first n were given (u and u3 take the most).
-type gate struct {
-	op     circuit.Op
-	args   []int
-	angles [3]float64
-	n      int
-}
-
-func parseGate(stmt string) (gate, error) {
-	var g gate
+// addGate parses one gate statement and appends its gates to c.
+func addGate(c *circuit.Circuit, stmt string) error {
 	name := stmt
 	rest := ""
+	var angles [3]float64 // u and u3 take the most
+	n := 0
 	if i := strings.Index(stmt, "("); i >= 0 {
 		name = strings.TrimSpace(stmt[:i])
 		j := strings.Index(stmt, ")")
 		if j < i {
-			return gate{}, fmt.Errorf("unbalanced parens in %q", stmt)
+			return fmt.Errorf("unbalanced parens in %q", stmt)
 		}
-		for list, more := stmt[i+1:j], true; more; g.n++ {
+		for list, more := stmt[i+1:j], true; more; n++ {
 			var expr string
 			expr, list, more = strings.Cut(list, ",")
-			if g.n == len(g.angles) {
-				return gate{}, fmt.Errorf("too many angles in %q", stmt)
+			if n == len(angles) {
+				return fmt.Errorf("too many angles in %q", stmt)
 			}
 			a, err := parseAngle(expr)
 			if err != nil {
-				return gate{}, err
+				return err
 			}
-			g.angles[g.n] = a
+			angles[n] = a
 		}
 		rest = stmt[j+1:]
 	} else if i := strings.IndexAny(stmt, " \t"); i >= 0 {
@@ -277,15 +239,15 @@ func parseGate(stmt string) (gate, error) {
 	key := strings.ToLower(name)
 	op, ok := opByName[key]
 	if !ok {
-		return gate{}, fmt.Errorf("unsupported gate %q", name)
+		return fmt.Errorf("unsupported gate %q", name)
 	}
-	if want := angleCount[key]; g.n != want {
-		return gate{}, fmt.Errorf("gate %q takes %d angle(s), got %d", name, want, g.n)
+	if want := angleCount[key]; n != want {
+		return fmt.Errorf("gate %q takes %d angle(s), got %d", name, want, n)
 	}
 	if a, ok := fixedAngle[key]; ok {
-		g.angles[0] = a
+		angles[0] = a
 	}
-	g.op = op
+	var args []int
 	for _, operand := range strings.Split(rest, ",") {
 		operand = strings.TrimSpace(operand)
 		if operand == "" {
@@ -293,11 +255,38 @@ func parseGate(stmt string) (gate, error) {
 		}
 		idx, _, err := parseIndex(operand)
 		if err != nil {
-			return gate{}, err
+			return err
 		}
-		g.args = append(g.args, idx)
+		args = append(args, idx)
 	}
-	return g, nil
+	want := 1
+	if op.IsTwoQubit() {
+		want = 2
+	}
+	if len(args) != want {
+		return fmt.Errorf("gate %q needs %d operands, got %d", key, want, len(args))
+	}
+	for _, a := range args {
+		if a < 0 || a >= c.N {
+			return fmt.Errorf("gate %q operand q[%d] out of range", key, a)
+		}
+	}
+	q, param := args[0], angles[0]
+	switch {
+	case op.IsTwoQubit():
+		if q == args[1] {
+			return fmt.Errorf("gate %q on identical qubits", key)
+		}
+		c.Add2Q(op, q, args[1], param)
+	case n == 3:
+		// u and u3: U3(θ, φ, λ) = RZ(φ)·RY(θ)·RZ(λ) up to global phase.
+		c.RZ(q, angles[2])
+		c.RY(q, param)
+		c.RZ(q, angles[1])
+	default:
+		c.Add1Q(op, q, param)
+	}
+	return nil
 }
 
 // parseAngle evaluates the restricted angle expressions QASM files use:
