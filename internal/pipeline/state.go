@@ -89,8 +89,8 @@ type RouterStats struct {
 }
 
 // AddOneQLayers records n parallel one-qubit layers of t seconds each. The
-// time accrues one layer at a time, as the schedulers always added it, so
-// ExecTime rounds the same.
+// time accrues one layer at a time, not as n*t: the regress goldens pin the
+// rounding of that sum.
 func (s *RouterStats) AddOneQLayers(n int, t float64) {
 	s.OneQLayers += n
 	for range n {
